@@ -1,9 +1,16 @@
 """Exact rational linear programming for the fractional clique relaxations.
 
-A small dense two-phase simplex over fractions.Fraction with Bland's
-anti-cycling rule.  No floating point anywhere: claims like "the fractional
-independence number of the five-cycle is 5/2" must be bit-exact, and the
-clique LPs are heavily degenerate, so epsilon pivoting would be fragile.
+A small dense two-phase simplex with Bland's anti-cycling rule, run on a
+fraction-free integer tableau (the integer-preserving pivots of Edmonds,
+1967, and Bareiss, 1968).  Each row of [A | b] is scaled by the lcm of its
+denominators, and all rows share one positive denominator d; a pivot on p
+maps every entry a to (p*a - f*b) // d, an exact division, and sets d = p.
+Ratio tests compare by cross-multiplying, so the pivot sequence, the vertex
+and the dual are exactly those of the same simplex over fractions.Fraction;
+only the point, the value and the dual are turned back into Fractions.  No
+floating point anywhere: claims like "the fractional independence number of
+the five-cycle is 5/2" must be bit-exact, and the clique LPs are heavily
+degenerate, so epsilon pivoting would be fragile.
 
 The solver handles max/min objectives and <=/>= rows with nonnegative
 variables, which covers both clique relaxations:
@@ -11,11 +18,13 @@ variables, which covers both clique relaxations:
   primal    max 1'z   s.t.  Wz <= 1, z >= 0     (fractional independence)
   dual      min 1'y   s.t.  W'y >= 1, y >= 0     (fractional clique cover)
 
-Every solution carries a dual certificate that is re-verified exactly.
+Every solution carries a dual certificate that is re-verified exactly, in
+Fractions against the original LinearProgram.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,6 +35,7 @@ from .errors import (
     UnboundedLpError,
 )
 from .graphs import InfoGraph, maximal_cliques
+from .oracles import _scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -83,100 +93,132 @@ def dump_tableau(lp: LinearProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Tableau:
-    """Dense simplex tableau: rows of [coeffs | rhs], basis per row."""
+def _eliminate(row: list[int], prow: list[int], p: int, d: int, c: int) -> list[int]:
+    """One row of an integer-preserving pivot from denominator d to p > 0.
 
-    def __init__(self, rows: list[list[Fraction]], basis: list[int]):
+    The true row is row / d; the result is the same row with column c
+    eliminated against the pivot row prow, over the new denominator p.  The
+    division is exact by Sylvester's identity: every entry is a minor of
+    the initial integer tableau.
+    """
+    f = row[c]
+    if f:
+        return [(p * a - f * b) // d for a, b in zip(row, prow)]
+    if p == d:
+        return row
+    return [p * a // d for a in row]
+
+
+class _Tableau:
+    """Fraction-free dense simplex tableau: integer rows of [coeffs | rhs].
+
+    All rows share one positive denominator ``d``: the true tableau is
+    rows / d, and each basic column holds d in its own row and 0 elsewhere.
+    """
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
         self.rows = rows
         self.basis = basis
+        self.d = 1
 
-    def pivot(self, r: int, c: int):
+    def pivot(self, r: int, c: int, cost: list[int] | None = None):
+        """Pivot on (r, c), eliminating column c from ``cost`` too when given."""
         rows = self.rows
         prow = rows[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = 1 / piv
-            rows[r] = prow = [a * inv for a in prow]
+        p = prow[c]
+        if p < 0:
+            # negating the pivot row keeps the shared denominator positive
+            p = -p
+            rows[r] = prow = [-a for a in prow]
+        d = self.d
         for i, row in enumerate(rows):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                rows[i] = [a - f * b for a, b in zip(row, prow)]
+            if i != r:
+                rows[i] = _eliminate(row, prow, p, d, c)
+        if cost is not None:
+            cost[:] = _eliminate(cost, prow, p, d, c)
+        self.d = p
         self.basis[r] = c
 
 
-def _bland_max(tab: _Tableau, cost: list[Fraction], ncols: int) -> list[Fraction]:
-    """Run simplex maximizing with Bland's rule; returns the final cost row.
+def _priced_cost(tab: _Tableau, obj: list[int]) -> list[int]:
+    """Reduced-cost row [c | -value] of integer ``obj`` over the basis, times d."""
+    d = tab.d
+    cost = [d * c for c in obj] + [0]
+    for r, b in enumerate(tab.basis):
+        f = obj[b]
+        if f:
+            cost = [a - f * x for a, x in zip(cost, tab.rows[r])]
+    return cost
 
-    ``cost`` is the reduced objective row [c | value], updated in place.
-    Raises UnboundedLpError if a cost-improving column has no blocking row.
+
+def _bland_max(tab: _Tableau, cost: list[int], ncols: int):
+    """Run simplex maximizing with Bland's rule, updating ``cost`` in place.
+
+    ``cost`` is the integer reduced objective row over the tableau's
+    denominator.  Ratio-test candidates are compared by cross-multiplying,
+    with ties broken on the smaller basic variable.  Raises UnboundedLpError
+    if a cost-improving column has no blocking row.
     """
     rows = tab.rows
+    basis = tab.basis
     while True:
-        enter = -1
-        for j in range(ncols):
-            if cost[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if cost[j] > 0), -1)
         if enter < 0:
-            return cost
-        leave, best, best_var = -1, None, None
+            return
+        leave, best_rhs, best_a = -1, 0, 1
         for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and tab.basis[i] < best_var
-                ):
-                    leave, best, best_var = i, ratio, tab.basis[i]
+                lhs, rhs = row[-1] * best_a, best_rhs * a
+                if leave < 0 or lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, best_rhs, best_a = i, row[-1], a
         if leave < 0:
             raise UnboundedLpError("objective is unbounded")
-        tab.pivot(leave, enter)
-        f = cost[enter]
-        prow = rows[leave]
-        for j in range(len(cost)):
-            cost[j] -= f * prow[j]
+        tab.pivot(leave, enter, cost)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact optimum, optimal point, and a re-verifiable dual certificate."""
     n = len(lp.objective)
     m = len(lp.rows)
-    obj = lp.objective if lp.sense == "max" else tuple(-c for c in lp.objective)
+    obj_scale, obj = _scaled(lp.objective)
+    if lp.sense == "min":
+        obj = [-c for c in obj]
 
-    # Equality system [A | I](x, s) = b; flip rows with negative rhs and give
-    # them artificials so the slack/artificial basis starts feasible.
+    # Equality system [S A | I](x, s) = S b with S the positive diagonal of
+    # row scales, so every coefficient is an integer.  The scaled slack is
+    # s_i times the original one, which leaves every pivot choice unchanged.
+    # Flip rows with negative rhs and give them artificials so the
+    # slack/artificial basis starts feasible.
     ncols = n + m
     flipped = [b < 0 for b in lp.rhs]
     art_of = {i: ncols + k for k, i in enumerate(i for i in range(m) if flipped[i])}
     total_cols = ncols + len(art_of)
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     basis: list[int] = []
+    scales: list[int] = []
     for i in range(m):
+        scale, coeffs = _scaled(lp.rows[i] + (lp.rhs[i],))
         sign = -1 if flipped[i] else 1
-        row = [sign * a for a in lp.rows[i]]
-        row += [(sign if j == i else 0) * ONE for j in range(m)]
-        row += [ONE if art_of.get(i) == c else ZERO for c in range(ncols, total_cols)]
-        row.append(sign * lp.rhs[i])
+        row = [sign * a for a in coeffs[:n]]
+        row += [sign if j == i else 0 for j in range(m)]
+        row += [1 if art_of.get(i) == c else 0 for c in range(ncols, total_cols)]
+        row.append(sign * coeffs[n])
         rows.append(row)
         basis.append(art_of.get(i, n + i))
+        scales.append(scale)
     art_cols = sorted(art_of.values())
     tab = _Tableau(rows, basis)
 
     if art_cols:
-        # phase 1: maximize -(sum of artificials), priced out over the basis
-        cost = [ZERO] * (total_cols + 1)
-        for c in art_cols:
-            cost[c] = -ONE
-        for r, b in enumerate(tab.basis):
-            f = cost[b]
-            if f:
-                prow = tab.rows[r]
-                for j in range(total_cols + 1):
-                    cost[j] -= f * prow[j]
-        cost = _bland_max(tab, cost, total_cols)
-        if -cost[-1] != 0:
+        # phase 1: maximize -(sum of artificials), priced out over the basis;
+        # the artificial of row i stands for s_i original units, so it costs
+        # 1/s_i, brought to integers by the lcm of the flipped rows' scales
+        flipped_scales = [scales[i] for i in art_of]
+        unit = math.lcm(*flipped_scales)
+        cost = _priced_cost(tab, [0] * ncols + [-(unit // s) for s in flipped_scales])
+        _bland_max(tab, cost, total_cols)
+        if cost[-1] != 0:
             raise InfeasibleLpError("no feasible point")
         # drive leftover artificials out of the basis, dropping redundant rows
         keep = []
@@ -193,29 +235,25 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         # blank artificial columns so they can never re-enter
         for row in tab.rows:
             for c in art_cols:
-                row[c] = ZERO
+                row[c] = 0
 
     # phase 2
-    cost = [ZERO] * (total_cols + 1)
-    for j in range(n):
-        cost[j] = obj[j]
-    for r, b in enumerate(tab.basis):
-        f = cost[b]
-        if f:
-            prow = tab.rows[r]
-            for j in range(total_cols + 1):
-                cost[j] -= f * prow[j]
-    cost = _bland_max(tab, cost, ncols)
+    cost = _priced_cost(tab, obj + [0] * (total_cols - n))
+    _bland_max(tab, cost, ncols)
 
+    d = tab.d
     point = [ZERO] * n
     for r, b in enumerate(tab.basis):
         if b < n:
-            point[b] = tab.rows[r][-1]
-    value = -cost[-1]
+            point[b] = Fraction(tab.rows[r][-1], d)
+    # the true reduced cost row is cost / (d * obj_scale)
+    den = d * obj_scale
+    value = Fraction(-cost[-1], den)
     # dual of the normalized <= system: the slack column of row i is its
     # identity column up to the row's flip sign, which cancels against the
-    # flipped multiplier, so y_i is always the negated slack reduced cost
-    dual = [-cost[n + i] for i in range(m)]
+    # flipped multiplier, so y_i is the negated reduced cost of the
+    # original slack, which is s_i times that of the scaled slack
+    dual = [Fraction(-cost[n + i] * scales[i], den) for i in range(m)]
     if lp.sense == "min":
         value = -value
         dual = [-y for y in dual]

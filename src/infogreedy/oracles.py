@@ -2,7 +2,11 @@
 
 All values are exact rationals (fractions.Fraction).  Floats never enter the
 pipeline; tie-breaking in the greedy engine and the bound-achieving
-constructions are destroyed by floating-point ties.
+constructions are destroyed by floating-point ties.  Inside, the set-cover,
+capped-sum, two-block and table oracles fix one integer denominator at
+construction and sum integer numerators, and the exhaustive audit scales
+its value vector by the lcm of the denominators and compares integers;
+both stay exact and hand out the same Fractions.
 
 Ground-set elements are dense integer ids 0..m-1.  Subsets travel through the
 public API as iterables of ids and internally as bitmasks, with per-oracle
@@ -11,6 +15,7 @@ memoization of evaluated masks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -29,6 +34,30 @@ def mask_of(subset: Iterable[int], ground_size: int) -> int:
             raise InputError(f"element {e} outside ground set of size {ground_size}")
         mask |= 1 << e
     return mask
+
+
+def _scaled(values: Iterable[Fraction]) -> tuple[int, list[int]]:
+    """The lcm ``s`` of the denominators and the integers ``s * values``."""
+    values = list(values)
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _dense_table(table: Mapping[int, Fraction], size: int, what: str) -> list[Fraction]:
+    """A table over every subset of a ``size``-element set, indexed by mask.
+
+    The entry count is checked against 2^size without forming ``1 << size``,
+    so a huge size read from a file never allocates a huge integer.
+    """
+    count = len(table)
+    if count & (count - 1) or count.bit_length() != size + 1:
+        raise InputError(f"{what} has {count} entries, expected 2^{size}")
+    dense: list[Fraction] = [Fraction(0)] * count
+    for mask, v in table.items():
+        if not 0 <= mask < count:
+            raise InputError(f"{what} mask {mask} outside the ground set")
+        dense[mask] = Fraction(v)
+    return dense
 
 
 def set_of(mask: int) -> frozenset[int]:
@@ -91,16 +120,18 @@ class WeightedSetCoverOracle(ValuationOracle):
                 raise InputError(f"target {t} has negative value {v}")
         super().__init__(len(values))
         self.values = values
+        self._den, self._nums = _scaled(values)
 
     def _value_mask(self, mask: int) -> Fraction:
-        total = Fraction(0)
+        nums = self._nums
+        total = 0
         t = 0
         while mask:
             if mask & 1:
-                total += self.values[t]
+                total += nums[t]
             mask >>= 1
             t += 1
-        return total
+        return Fraction(total, self._den)
 
     def to_params(self) -> dict:
         return {"kind": self.kind, "values": list(self.values)}
@@ -172,6 +203,7 @@ class CappedSumOracle(ValuationOracle):
                 raise InputError(f"agent {i} has negative weight {w}")
         super().__init__(2 * len(weights))
         self.weights = weights
+        self._den, self._nums = _scaled(weights)
 
     @property
     def n_agents(self) -> int:
@@ -185,14 +217,15 @@ class CappedSumOracle(ValuationOracle):
 
     def _value_mask(self, mask: int) -> Fraction:
         n = self.n_agents
-        capped = Fraction(0)
-        modular = Fraction(0)
+        nums = self._nums
+        capped = 0
+        modular = 0
         for i in range(n):
             if mask >> i & 1:
-                capped += self.weights[i]
+                capped += nums[i]
             if mask >> (n + i) & 1:
-                modular += self.weights[i]
-        return min(Fraction(1), capped) + modular
+                modular += nums[i]
+        return Fraction(min(self._den, capped) + modular, self._den)
 
     def to_params(self) -> dict:
         return {"kind": self.kind, "weights": list(self.weights)}
@@ -212,18 +245,16 @@ class TwoBlockOracle(ValuationOracle):
     def __init__(self, u_table: Mapping[int, Fraction], weights: Sequence[Fraction]):
         weights = tuple(Fraction(w) for w in weights)
         n = len(weights)
-        if len(u_table) != 1 << n:
-            raise InputError(
-                f"u table has {len(u_table)} entries, expected {1 << n}"
-            )
+        u_values = _dense_table(u_table, n, "u table")
         for i, w in enumerate(weights):
             if w < 0:
                 raise InputError(f"agent {i} has negative weight {w}")
         super().__init__(2 * n)
         self.weights = weights
-        self.u_table = {m: Fraction(v) for m, v in u_table.items()}
-        if self.u_table[0] != 0:
+        if u_values[0] != 0:
             raise InputError("u table must map the empty set to 0")
+        self._den, nums = _scaled(weights + tuple(u_values))
+        self._w_nums, self._u_nums = nums[:n], nums[n:]
 
     @property
     def n_agents(self) -> int:
@@ -237,17 +268,18 @@ class TwoBlockOracle(ValuationOracle):
 
     def _value_mask(self, mask: int) -> Fraction:
         n = self.n_agents
-        modular = Fraction(0)
+        w = self._w_nums
+        total = self._u_nums[mask & ((1 << n) - 1)]
         for i in range(n):
             if mask >> (n + i) & 1:
-                modular += self.weights[i]
-        return self.u_table[mask & ((1 << n) - 1)] + modular
+                total += w[i]
+        return Fraction(total, self._den)
 
     def to_params(self) -> dict:
         return {
             "kind": self.kind,
             "weights": list(self.weights),
-            "u_table": dict(self.u_table),
+            "u_table": {m: Fraction(v, self._den) for m, v in enumerate(self._u_nums)},
         }
 
 
@@ -258,22 +290,19 @@ class TableOracle(ValuationOracle):
 
     def __init__(self, ground_size: int, table: Mapping[int, Fraction]):
         super().__init__(ground_size)
-        if table.get(0, Fraction(0)) != 0:
+        values = _dense_table(table, ground_size, "table")
+        if values[0] != 0:
             raise InputError("table oracle must map the empty set to 0")
-        if len(table) != 1 << ground_size:
-            raise InputError(
-                f"table has {len(table)} entries, expected {1 << ground_size}"
-            )
-        self._table = {m: Fraction(v) for m, v in table.items()}
+        self._den, self._nums = _scaled(values)
 
     def _value_mask(self, mask: int) -> Fraction:
-        return self._table[mask]
+        return Fraction(self._nums[mask], self._den)
 
     def to_params(self) -> dict:
         return {
             "kind": self.kind,
             "ground": self.ground_size,
-            "table": dict(self._table),
+            "table": {m: Fraction(v, self._den) for m, v in enumerate(self._nums)},
         }
 
 
@@ -377,14 +406,16 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
     if not normalized:
         witnesses["normalized"] = {"value_of_empty": oracle.value_mask(0)}
 
-    values = [oracle.value_mask(mask) for mask in range(1 << m)]
+    # every value times the lcm of their denominators: exact, and all ints
+    _, values = _scaled(oracle.value_mask(mask) for mask in range(1 << m))
 
     monotone = True
     for mask in range(1 << m):
+        base = values[mask]
         for x in range(m):
             if mask >> x & 1:
                 continue
-            if values[mask | (1 << x)] < values[mask]:
+            if values[mask | (1 << x)] < base:
                 monotone = False
                 witnesses["monotone"] = {
                     "A": sorted(set_of(mask)),
@@ -396,11 +427,11 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
 
     submodular = True
     for mask in range(1 << m):
+        base = values[mask]
         free = [x for x in range(m) if not mask >> x & 1]
         for x, y in combinations(free, 2):
-            lhs = values[mask | (1 << x)] + values[mask | (1 << y)]
-            rhs = values[mask | (1 << x) | (1 << y)] + values[mask]
-            if lhs < rhs:
+            mx, my = mask | 1 << x, mask | 1 << y
+            if values[mx] + values[my] < values[mx | my] + base:
                 submodular = False
                 witnesses["submodular"] = {
                     "A": sorted(set_of(mask)),

@@ -21,6 +21,7 @@ from .design import (
     min_edges_no_sibling,
     optimal_structure,
 )
+from .errors import DegenerateInstanceError
 from .graphs import InfoGraph, complete_graph, exact_numbers, sibling_property
 from .greedy import brute_force_opt, efficiency, run_generalized_greedy
 from .lp import alpha_star, alpha_star_solution, k_star
@@ -167,7 +168,7 @@ def _check_floors(log) -> bool:
         try:
             rep = efficiency(inst, g)
             full = efficiency(inst, complete_graph(n))
-        except Exception:
+        except DegenerateInstanceError:
             continue
         if rep.gamma < 1 / (alpha_star(g) + 1) or full.gamma < Fraction(1, 2):
             ok = False
@@ -209,18 +210,14 @@ def _check_designs(log) -> bool:
 
 
 def _check_duality_exhaustive_small(log) -> bool:
-    # every admissible graph with up to 5 agents (labels enumerate every
-    # orientation, so the shadow dedup is free)
+    # every admissible graph with up to 5 agents: each edge subset is one
+    # labelled graph, so isomorphic shadows are all checked, not deduplicated
     ok = True
     count = 0
     for n in range(1, 6):
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        seen: set[frozenset] = set()
         for bits in range(1 << len(pairs)):
-            edges = frozenset(pairs[i] for i in range(len(pairs)) if bits >> i & 1)
-            if edges in seen:
-                continue
-            seen.add(edges)
+            edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
             g = InfoGraph(n, edges)
             nums = exact_numbers(g)
             a = alpha_star(g)

@@ -21,7 +21,7 @@ from infogreedy import (
     alpha_star,
 )
 from infogreedy.bounds import synthesize_shared_table
-from infogreedy.errors import InfeasibleLpError
+from infogreedy.errors import DegenerateInstanceError, InfeasibleLpError
 from conftest import random_graph, random_wsc_instance
 
 F = Fraction
@@ -218,7 +218,7 @@ class TestBracketFloorSweep:
             inst = random_wsc_instance(rng, n)
             try:
                 rep = efficiency(inst, g)
-            except Exception:
+            except DegenerateInstanceError:
                 continue
             assert rep.gamma >= efficiency_bounds(g).lower
 
@@ -231,7 +231,7 @@ class TestNearCliqueChain:
             inst = random_wsc_instance(rng, 4)
             try:
                 rep = efficiency(inst, K4_MINUS_EDGE)
-            except Exception:
+            except DegenerateInstanceError:
                 continue
             sol = run_generalized_greedy(inst, K4_MINUS_EDGE, "worst")
             x = [set(a) for a in sol.profile]

@@ -166,6 +166,25 @@ class TestContracts:
         big.write_text(json.dumps({"n": 20, "edges": []}))
         assert main(["analyze", "--graph", str(big)]) == 3
 
+    def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
+        # the entry count is compared with 2^ground without forming 1 << ground
+        doc = tmp_path / "huge.json"
+        doc.write_text(json.dumps({
+            "kind": "table", "ground": 10**12, "table": {"0": 0, "1": 1}, "actions": [[[0]]],
+        }))
+        assert main(["audit", "--instance", str(doc)]) == 2
+        assert "2^1000000000000" in capsys.readouterr().err
+
+    def test_table_mask_outside_ground_is_input_error(self, tmp_path, capsys):
+        docs = [
+            {"kind": "table", "ground": 1, "table": {"0": 0, "5": 1}},
+            {"kind": "two_block", "weights": [1], "u_table": {"0": 0, "2": 1}},
+        ]
+        for k, doc in enumerate(docs):
+            path = tmp_path / f"mask{k}.json"
+            path.write_text(json.dumps({**doc, "actions": [[[0]]]}))
+            assert main(["audit", "--instance", str(path)]) == 2
+
     def test_byte_identical_reruns(self, capsys):
         argv = [
             "worst-case",
