@@ -12,8 +12,8 @@ everyone to the shared side.  The plain capped sum realizes this only when
 every positive-weight agent fits under the cap together with its whole
 in-neighborhood; otherwise (fractional LP optimum, smallest case an induced
 5-cycle) a valid u-block table is synthesized by exact interval propagation
-over all submodularity constraints, with an exact-LP fallback.  Either way
-the returned instance is certified by actually running the greedy engine.
+over all submodularity constraints.  Either way the returned instance is
+certified by actually running the greedy engine.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graphs import InfoGraph, _mask, _out_mask, exact_numbers, sibling_property
 from .greedy import EfficiencyReport, efficiency
-from .lp import alpha_star_solution
+from .lp import alpha_star, alpha_star_solution
 from .oracles import (
     Instance,
     TwoBlockOracle,
@@ -84,9 +84,9 @@ def efficiency_bounds(g: InfoGraph) -> BoundsReport:
     """
     if g.n < 1:
         raise InputError("bounds need at least one agent")
-    a_star = alpha_star_solution(g)[0]
-    nums = exact_numbers(g)
+    nums = exact_numbers(g)  # refuses past its guard before any other work
     verdict = sibling_property(g)
+    a_star = alpha_star(g)
     sibling_upper = Fraction(1, 1 + nums.alpha) if verdict else None
     tight = {
         "lower": bool(verdict) and nums.alpha == nums.k,
@@ -197,8 +197,9 @@ def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
     A inside the in-neighborhood of i.  The capped sum violates the last
     family exactly when some positive-weight in-neighborhood overflows the
     cap, so the table is completed by exact interval propagation over the
-    constraint consequences; if the propagated upper envelope fails
-    verification, an exact feasibility LP finishes the job.
+    constraint consequences and its upper envelope is verified exhaustively.
+    An envelope that fails verification without a provably empty interval
+    is an internal-consistency failure: no graph has been seen to reach it.
 
     Zero-weight agents are invisible to the table (their elements add
     nothing anywhere), which also drops them from every tie base.  Raises
@@ -308,11 +309,10 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
             )
 
     table = {mask: hi[mask] for mask in range(1 << n)}
-    if _table_valid(n, w, ties, table):
-        return table
-    table = _synthesize_by_lp(n, w, ties, lo, hi)
     if not _table_valid(n, w, ties, table):
-        raise InternalConsistencyError("LP completion produced an invalid table")
+        raise InternalConsistencyError(
+            "propagated table is neither valid nor provably infeasible"
+        )
     return table
 
 
@@ -336,51 +336,6 @@ def _table_valid(n, w, ties, table) -> bool:
             if table[mask | sx] + table[mask | sy] < table[mask | sx | sy] + table[mask]:
                 return False
     return True
-
-
-def _synthesize_by_lp(n, w, ties, lo, hi) -> dict[int, Fraction]:
-    """Exact feasibility LP over the still-free subset values."""
-    from .lp import LinearProgram, solve_lp
-
-    free_masks = [m for m in range(1 << n) if lo[m] != hi[m]]
-    col = {m: j for j, m in enumerate(free_masks)}
-    nvar = len(free_masks)
-    rows, senses, rhs = [], [], []
-
-    def add(coeffs: dict[int, Fraction], sense: str, b: Fraction):
-        row = [ZERO] * nvar
-        const = ZERO
-        for mask, c in coeffs.items():
-            if mask in col:
-                row[col[mask]] += c
-            else:
-                const += c * lo[mask]  # pinned: lo == hi
-        rows.append(tuple(row))
-        senses.append(sense)
-        rhs.append(b - const)
-
-    singles = [1 << i for i in range(n)]
-    for mask in range(1 << n):
-        free = [s for s in singles if not mask & s]
-        for s in free:
-            add({mask | s: ONE, mask: -ONE}, ">=", ZERO)
-        for sx, sy in combinations(free, 2):
-            add(
-                {mask | sx: ONE, mask | sy: ONE, mask | sx | sy: -ONE, mask: -ONE},
-                ">=",
-                ZERO,
-            )
-    for a, b, d in ties:
-        add({b: ONE, a: -ONE}, "<=", d)
-        add({b: ONE, a: -ONE}, ">=", d)
-    for m in free_masks:
-        add({m: ONE}, "<=", hi[m])
-        add({m: ONE}, ">=", lo[m])
-
-    lp = LinearProgram.build([ZERO] * nvar, rows, senses, rhs, "max")
-    sol = solve_lp(lp)
-    table = {m: (lo[m] if lo[m] == hi[m] else sol.point[col[m]]) for m in range(1 << n)}
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,21 @@ representable: the constructor rejects any edge that points backward.
 Cliques, independence numbers, and clique covers are computed exactly on the
 undirected shadow of the graph (clique membership ignores edge direction).
 Vertices map to bits: agent i occupies bit i-1.
+
+Each graph computes its facts at most once: the maximal cliques, the
+``ExactNumbers``, the ``SiblingVerdict`` and (in ``lp``) the verified
+solution of the independence LP are computed on first use and kept on the
+graph itself, so every later caller reads the stored value and the facts go
+away with the graph.  Stored values are immutable; a size guard is checked
+on every call, before the stored value is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import AdmissibilityError, GuardRefusal, InputError, InternalConsistencyError
 
@@ -22,9 +30,13 @@ CLIQUE_ROW_GUARD = 10000
 
 
 class InfoGraph:
-    """Immutable ordered DAG on agents 1..n with edges from lower to higher index."""
+    """Immutable ordered DAG on agents 1..n with edges from lower to higher index.
 
-    __slots__ = ("n", "edges", "in_masks", "adj_masks")
+    ``_facts`` holds the per-graph facts computed so far, by name.  It belongs
+    to this object alone: an equal graph built separately starts empty.
+    """
+
+    __slots__ = ("n", "edges", "in_masks", "adj_masks", "_facts")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -49,6 +61,14 @@ class InfoGraph:
             adj_masks[j] |= 1 << (i - 1)
         self.in_masks = tuple(in_masks)
         self.adj_masks = tuple(adj_masks)
+        self._facts: dict = {}
+
+    def _fact(self, name: str, compute: Callable[[InfoGraph], object]):
+        """The fact ``name``, computed by ``compute(self)`` on first use."""
+        facts = self._facts
+        if name not in facts:
+            facts[name] = compute(self)
+        return facts[name]
 
     def in_neighbors(self, i: int) -> frozenset[int]:
         """Agents whose decisions agent i observes; empty for agent 1."""
@@ -150,13 +170,23 @@ def _maximal_clique_masks(adj: Sequence[int], allowed: int) -> list[int]:
     return found
 
 
-def maximal_cliques(g: InfoGraph) -> list[frozenset[int]]:
-    """All inclusion-maximal cliques of the undirected shadow, sorted."""
+def _find_maximal_cliques(g: InfoGraph) -> tuple[frozenset[int], ...]:
     if g.n == 0:
-        return []
+        return ()
     masks = _maximal_clique_masks(g.adj_masks, (1 << g.n) - 1)
-    cliques = [_vertices(m) for m in masks]
-    return sorted(cliques, key=lambda c: (len(c), sorted(c)))
+    return tuple(sorted((_vertices(m) for m in masks), key=lambda c: (len(c), sorted(c))))
+
+
+def _cliques(g: InfoGraph) -> tuple[frozenset[int], ...]:
+    return g._fact("cliques", _find_maximal_cliques)
+
+
+def maximal_cliques(g: InfoGraph) -> list[frozenset[int]]:
+    """All inclusion-maximal cliques of the undirected shadow, sorted.
+
+    A fresh list on every call; the graph keeps its own tuple.
+    """
+    return list(_cliques(g))
 
 
 def all_clique_masks(g: InfoGraph, guard: int = CLIQUE_ROW_GUARD) -> list[int]:
@@ -259,15 +289,23 @@ def _min_clique_cover(g: InfoGraph) -> int:
     return solve((1 << g.n) - 1)
 
 
-def exact_numbers(g: InfoGraph, guard: int = EXACT_GUARD) -> ExactNumbers:
-    """alpha, minimum clique cover, clique number, and all maximum independent sets."""
+def _refuse_past(g: InfoGraph, guard: int):
     if g.n > guard:
         raise GuardRefusal(f"n={g.n} exceeds exhaustive guard {guard}")
+
+
+def exact_numbers(g: InfoGraph, guard: int = EXACT_GUARD) -> ExactNumbers:
+    """alpha, minimum clique cover, clique number, and all maximum independent sets."""
+    _refuse_past(g, guard)
+    return g._fact("numbers", _find_exact_numbers)
+
+
+def _find_exact_numbers(g: InfoGraph) -> ExactNumbers:
     if g.n == 0:
         return ExactNumbers(0, 0, 0, (frozenset(),))
     alpha, ind_masks = _max_independent_masks(g)
     k = _min_clique_cover(g)
-    omega = max(len(c) for c in maximal_cliques(g))
+    omega = max(len(c) for c in _cliques(g))
     sets = tuple(
         sorted((_vertices(m) for m in ind_masks), key=lambda s: sorted(s))
     )
@@ -284,7 +322,7 @@ class SiblingVerdict:
     has_property: bool
     witness: tuple[frozenset[int], int, int] | None  # (J, member of J, observer w)
     witnesses: tuple[tuple[frozenset[int], int, int], ...]  # every (J, w) pair
-    audit: dict | None  # structural audit, filled when the property is absent
+    audit: Mapping[str, bool] | None  # structural audit, read-only, when absent
 
     def __bool__(self) -> bool:
         return self.has_property
@@ -302,6 +340,11 @@ def sibling_property(g: InfoGraph, guard: int = EXACT_GUARD) -> SiblingVerdict:
     outside vertex at all, so the property is absent and the audit of the
     outside-facing consequences is vacuous.
     """
+    _refuse_past(g, guard)
+    return g._fact("sibling", lambda g: _find_sibling_verdict(g, guard))
+
+
+def _find_sibling_verdict(g: InfoGraph, guard: int) -> SiblingVerdict:
     nums = exact_numbers(g, guard)
     witnesses: list[tuple[frozenset[int], int, int]] = []
     for jset in nums.max_independent_sets:
@@ -333,7 +376,7 @@ def sibling_property(g: InfoGraph, guard: int = EXACT_GUARD) -> SiblingVerdict:
             raise InternalConsistencyError(
                 f"graph lacks the sibling property but fails its structural audit: {audit}"
             )
-    return SiblingVerdict(False, None, (), audit)
+    return SiblingVerdict(False, None, (), MappingProxyType(audit))
 
 
 def _out_mask(g: InfoGraph, v: int) -> int:
@@ -370,16 +413,14 @@ def analyze_graph(g: InfoGraph, guard: int = EXACT_GUARD) -> GraphAnalysis:
     from .lp import alpha_star, k_star  # deferred; lp imports this module
 
     nums = exact_numbers(g, guard)
-    a_star = alpha_star(g)
-    kk_star = k_star(g)
     return GraphAnalysis(
         alpha=nums.alpha,
         k=nums.k,
         omega=nums.omega,
-        alpha_star=a_star,
-        k_star=kk_star,
+        alpha_star=alpha_star(g),
+        k_star=k_star(g),
         max_independent_sets=nums.max_independent_sets,
-        maximal_cliques=tuple(maximal_cliques(g)),
+        maximal_cliques=_cliques(g),
         sibling=sibling_property(g, guard),
     )
 

@@ -20,6 +20,12 @@ variables, which covers both clique relaxations:
 
 Every solution carries a dual certificate that is re-verified exactly, in
 Fractions against the original LinearProgram.
+
+A graph's independence LP is solved once: the verified solution is kept on
+the graph with its other facts (see ``graphs``).  Its dual is a fractional
+cover by maximal cliques whose feasibility and zero gap ``verify_certificate``
+has already proved, so ``k_star`` reads k* = a* from it instead of solving
+``cover_lp``; ``cover_lp`` stays as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -327,7 +333,11 @@ def independence_lp(g: InfoGraph) -> LinearProgram:
 
 
 def cover_lp(g: InfoGraph) -> LinearProgram:
-    """min 1'y s.t. (maximal-clique columns) y >= 1, y >= 0."""
+    """min 1'y s.t. (maximal-clique columns) y >= 1, y >= 0.
+
+    The dual of ``independence_lp``.  ``k_star`` does not solve it; solving
+    it is an independent cross-check of a* = k* (``verify`` and the tests).
+    """
     rows = _clique_rows(g)
     ncl = len(rows)
     cols = []
@@ -342,11 +352,16 @@ def cover_lp(g: InfoGraph) -> LinearProgram:
     )
 
 
+def _independence_solution(g: InfoGraph) -> LpSolution:
+    """The verified solution of ``independence_lp(g)``, solved once per graph."""
+    return g._fact("independence_lp", lambda g: solve_lp(independence_lp(g)))
+
+
 def alpha_star_solution(g: InfoGraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Fractional independence number and an optimal vertex of its LP."""
     if g.n == 0:
         return ZERO, ()
-    sol = solve_lp(independence_lp(g))
+    sol = _independence_solution(g)
     return sol.optimum, sol.point
 
 
@@ -355,13 +370,12 @@ def alpha_star(g: InfoGraph) -> Fraction:
 
 
 def k_star(g: InfoGraph) -> Fraction:
-    """Fractional clique cover number; must equal alpha_star exactly."""
+    """Fractional clique cover number, the weight of the verified dual.
+
+    The dual of the independence LP is ``cover_lp``: its multipliers weight
+    the maximal cliques so that every agent is covered at least once, and
+    ``solve_lp`` has checked that they do and that their total equals a*.
+    """
     if g.n == 0:
         return ZERO
-    sol = solve_lp(cover_lp(g))
-    a = alpha_star(g)
-    if sol.optimum != a:
-        raise InternalConsistencyError(
-            f"strong duality violated: alpha*={a} but k*={sol.optimum}"
-        )
-    return sol.optimum
+    return sum(_independence_solution(g).certificate["dual"], ZERO)

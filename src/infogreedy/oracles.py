@@ -402,12 +402,16 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
             f"ground set of size {m} exceeds exhaustive audit guard {guard}"
         )
     witnesses: dict = {}
-    normalized = oracle.value_mask(0) == 0
+    # the value cache is seeded with f(empty) = 0, so ask the function itself
+    empty = oracle._value_mask(0)
+    normalized = empty == 0
     if not normalized:
-        witnesses["normalized"] = {"value_of_empty": oracle.value_mask(0)}
+        witnesses["normalized"] = {"value_of_empty": empty}
 
     # every value times the lcm of their denominators: exact, and all ints
-    _, values = _scaled(oracle.value_mask(mask) for mask in range(1 << m))
+    _, values = _scaled(
+        [empty] + [oracle.value_mask(mask) for mask in range(1, 1 << m)]
+    )
 
     monotone = True
     for mask in range(1 << m):

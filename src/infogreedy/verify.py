@@ -24,7 +24,7 @@ from .design import (
 from .errors import DegenerateInstanceError
 from .graphs import InfoGraph, complete_graph, exact_numbers, sibling_property
 from .greedy import brute_force_opt, efficiency, run_generalized_greedy
-from .lp import alpha_star, alpha_star_solution, k_star
+from .lp import alpha_star, alpha_star_solution, cover_lp, k_star, solve_lp
 from .oracles import audit_properties, build_wsc, make_instance
 
 
@@ -120,6 +120,14 @@ def _check_pileup(log) -> bool:
     return ok
 
 
+def _duality_chain_holds(g: InfoGraph) -> bool:
+    """alpha <= a* = k* <= k, with k* also solved independently by cover_lp."""
+    nums = exact_numbers(g)
+    a_star = alpha_star(g)
+    cover = solve_lp(cover_lp(g)).optimum
+    return nums.alpha <= a_star == k_star(g) == cover <= nums.k
+
+
 def _check_duality_sweep(log) -> bool:
     rng = random.Random(2024)
     ok = True
@@ -132,9 +140,7 @@ def _check_duality_sweep(log) -> bool:
             if rng.random() < rng.choice((0.25, 0.5, 0.75))
         ]
         g = InfoGraph(n, edges)
-        nums = exact_numbers(g)
-        a_star = alpha_star(g)
-        if not (nums.alpha <= a_star == k_star(g) <= nums.k):
+        if not _duality_chain_holds(g):
             ok = False
             break
     log(ok, "duality sweep: alpha <= a* = k* <= k on 120 seeded graphs")
@@ -218,10 +224,7 @@ def _check_duality_exhaustive_small(log) -> bool:
         pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
         for bits in range(1 << len(pairs)):
             edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-            g = InfoGraph(n, edges)
-            nums = exact_numbers(g)
-            a = alpha_star(g)
-            if not (nums.alpha <= a == k_star(g) <= nums.k):
+            if not _duality_chain_holds(InfoGraph(n, edges)):
                 ok = False
             count += 1
     log(ok, f"duality chain exact on all {count} admissible graphs with n <= 5")

@@ -29,9 +29,11 @@ from infogreedy import (
     run_generalized_greedy,
     sibling_instance,
     sibling_property,
+    solve_lp,
     upper_bound_instance,
 )
 from infogreedy.graphs import _max_independent_masks
+from infogreedy.lp import cover_lp
 from infogreedy.verify import load_fixture_graph, load_fixture_instance
 from conftest import all_graphs, all_pairs, random_wsc_instance, unlabeled_classes
 
@@ -146,7 +148,7 @@ def test_criterion_7_duality_chain_exhaustive():
             nums = exact_numbers(g)
             a = alpha_star(g)
             k = k_star(g)
-            assert a == k
+            assert a == k == solve_lp(cover_lp(g)).optimum
             assert nums.alpha <= a <= nums.k
             classes += 1
     report(7, f"alpha <= a* = k* <= k with exact equality across all {classes} "

@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+import infogreedy.graphs as graphs_mod
+import infogreedy.lp as lp_mod
 from infogreedy import (
+    GuardRefusal,
     InfoGraph,
     InputError,
     adversarial_search,
@@ -57,6 +60,14 @@ class TestBounds:
         for _ in range(30):
             b = efficiency_bounds(random_graph(rng, rng.randint(1, 6)))
             assert b.lower < b.upper
+
+    def test_guard_refuses_before_cliques_or_simplex(self, monkeypatch):
+        work = []
+        for module, name in ((lp_mod, "solve_lp"), (graphs_mod, "_maximal_clique_masks")):
+            monkeypatch.setattr(module, name, lambda *args, name=name: work.append(name))
+        with pytest.raises(GuardRefusal):
+            efficiency_bounds(InfoGraph(17, [(1, 2), (2, 3)]))
+        assert work == []
 
 
 class TestUpperBoundInstance:

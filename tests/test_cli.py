@@ -3,9 +3,17 @@
 import json
 from pathlib import Path
 
+import pytest
+
+import infogreedy.lp as lp_mod
 from infogreedy.cli import main
+from infogreedy.lp import independence_lp
+from infogreedy.serialize import parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "infogreedy" / "fixtures"
+GRAPH_FIXTURES = (
+    "demo_cover_graph.json", "five_cycle.json", "k4_minus_edge.json", "single_edge_trio.json",
+)
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -151,6 +159,34 @@ class TestVerify:
         assert "FAIL" not in out
 
 
+def _count_solves(monkeypatch) -> list:
+    solved = []
+    original = lp_mod.solve_lp
+
+    def counted(lp):
+        solved.append(lp)
+        return original(lp)
+
+    monkeypatch.setattr(lp_mod, "solve_lp", counted)
+    return solved
+
+
+class TestOneSolvePerGraph:
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES)
+    @pytest.mark.parametrize("command", [
+        ("analyze", "--format", "json"),
+        ("analyze", "--format", "table"),
+        ("worst-case",),
+        ("worst-case", "--budget", "40", "--seed", "3"),
+    ])
+    def test_one_independence_lp_solve(self, monkeypatch, capsys, name, command):
+        solved = _count_solves(monkeypatch)
+        path = str(FIXTURES / name)
+        code, _ = run(capsys, command[0], "--graph", path, *command[1:])
+        assert code == 0
+        assert solved == [independence_lp(parse_graph(path))]
+
+
 class TestContracts:
     def test_missing_file_is_input_error(self, capsys):
         code = main(["analyze", "--graph", "/nonexistent.json"])
@@ -161,10 +197,14 @@ class TestContracts:
         bad.write_text('{"n": 3, "edges": [[3, 1]]}')
         assert main(["analyze", "--graph", str(bad)]) == 2
 
-    def test_guard_refusal_code(self, tmp_path, capsys):
+    def test_guard_refusal_code(self, monkeypatch, tmp_path, capsys):
+        solved = _count_solves(monkeypatch)
         big = tmp_path / "big.json"
         big.write_text(json.dumps({"n": 20, "edges": []}))
         assert main(["analyze", "--graph", str(big)]) == 3
+        big.write_text(json.dumps({"n": 17, "edges": [[1, 2], [2, 3]]}))
+        assert main(["analyze", "--graph", str(big), "--format", "json"]) == 3
+        assert solved == []
 
     def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
         # the entry count is compared with 2^ground without forming 1 << ground

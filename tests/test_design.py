@@ -162,6 +162,15 @@ class TestEfficiencyCurve:
             assert curve[-1].gamma == F(1, 2)
             assert curve[-2].gamma == F(1, 2)
 
+    def test_matches_optimal_structure_row_by_row(self):
+        for n in range(1, 41):
+            curve = efficiency_curve(n)
+            assert [p.m for p in curve] == list(range(n * (n - 1) // 2 + 1))
+            for p in curve:
+                res = optimal_structure(n, p.m)
+                r = 2 if res.case_tag == CASE_CLIQUE_MINUS_EDGE else len(res.partition)
+                assert (p.gamma, p.r, p.case_tag) == (res.gamma_guaranteed, r, res.case_tag)
+
 
 class TestNoSiblingWitness:
     def test_quartet_witness_is_the_near_clique(self):

@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import infogreedy.graphs as graphs_mod
 from infogreedy import (
     AdmissibilityError,
     GuardRefusal,
@@ -200,3 +201,56 @@ class TestDot:
     def test_clusters(self):
         text = to_dot(edgeless_graph(2), clusters=[(1,), (2,)])
         assert "subgraph cluster_0" in text
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestStoredFacts:
+    def test_each_fact_is_computed_once_per_graph(self, monkeypatch):
+        searches = _count_calls(monkeypatch, graphs_mod, "_max_independent_masks")
+        enumerations = _count_calls(monkeypatch, graphs_mod, "_find_maximal_cliques")
+        g = build_graph(5, FIVE_CYCLE)
+        first = (exact_numbers(g), sibling_property(g), maximal_cliques(g))
+        for _ in range(3):
+            assert (exact_numbers(g), sibling_property(g), maximal_cliques(g)) == first
+        assert len(searches) == 1 and len(enumerations) == 1
+
+    def test_equal_graphs_do_not_share_facts(self, monkeypatch):
+        searches = _count_calls(monkeypatch, graphs_mod, "_max_independent_masks")
+        g1, g2 = build_graph(4, K4_MINUS_EDGE), build_graph(4, K4_MINUS_EDGE)
+        assert g1 == g2 and hash(g1) == hash(g2) and g1 is not g2
+        assert exact_numbers(g1) == exact_numbers(g2)
+        assert len(searches) == 2
+
+    def test_mutating_returned_cliques_leaves_the_graph_alone(self):
+        g = build_graph(4, K4_MINUS_EDGE)
+        got = maximal_cliques(g)
+        got.append(frozenset({4}))
+        got.pop(0)
+        assert maximal_cliques(g) == [frozenset({1, 2, 3}), frozenset({1, 2, 4})]
+        assert exact_numbers(g).omega == 3
+
+    def test_sibling_audit_is_read_only(self):
+        verdict = sibling_property(build_graph(4, K4_MINUS_EDGE))
+        with pytest.raises(TypeError):
+            verdict.audit["unique_maximum"] = False
+        assert verdict.audit["unique_maximum"]
+
+    def test_guard_is_checked_before_the_stored_value(self):
+        g = build_graph(5, FIVE_CYCLE)
+        exact_numbers(g)
+        sibling_property(g)
+        with pytest.raises(GuardRefusal):
+            exact_numbers(g, guard=4)
+        with pytest.raises(GuardRefusal):
+            sibling_property(g, guard=4)

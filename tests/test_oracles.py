@@ -13,6 +13,7 @@ from infogreedy import (
     InputError,
     TableOracle,
     TwoBlockOracle,
+    ValuationOracle,
     audit_properties,
     build_capped_sum,
     build_vta,
@@ -96,6 +97,19 @@ class TestAudit:
         report = audit_properties(oracle)
         assert not report.monotone
         assert report.witnesses["monotone"] == {"A": [0], "B": [0, 1]}
+
+    def test_value_of_the_empty_set_is_audited(self):
+        # the value cache answers f(empty) = 0 without asking the function
+        class Shifted(ValuationOracle):
+            kind = "shifted"
+
+            def _value_mask(self, mask):
+                return F(1 + bin(mask).count("1"))
+
+        report = audit_properties(Shifted(2))
+        assert report.monotone and report.submodular
+        assert not report.normalized
+        assert report.witnesses == {"normalized": {"value_of_empty": F(1)}}
 
     def test_guard_refuses_rather_than_samples(self):
         with pytest.raises(GuardRefusal):
