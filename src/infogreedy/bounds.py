@@ -19,7 +19,7 @@ certified by actually running the greedy engine.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -121,7 +121,23 @@ def upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
     another).  Those graphs always admit something stronger, a sibling
     instance at 1/(1+alpha) <= 1/a*, which is lifted to exactly 1/a* by
     granting agent 1 a constant always-covered bonus target.
+
+    The certificate is built once per graph and kept with its other facts.
     """
+    return _stored_certificate(g, "upper_bound_instance", _build_upper_bound_instance)
+
+
+def _stored_certificate(g: InfoGraph, name: str, build) -> WorstCaseInstance:
+    """``build(g)``, computed once per graph and kept with its other facts.
+
+    The stored copy leaves out its ``graph`` field, so the graph and its
+    facts form no reference cycle and are freed as soon as the graph is.
+    """
+    cert = g._fact(name, lambda g: replace(build(g), graph=None))
+    return replace(cert, graph=g)
+
+
+def _build_upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
     if g.n < 1:
         raise InputError("construction needs at least one agent")
     a_star, z = alpha_star_solution(g)
@@ -198,6 +214,10 @@ def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
     family exactly when some positive-weight in-neighborhood overflows the
     cap, so the table is completed by exact interval propagation over the
     constraint consequences and its upper envelope is verified exhaustively.
+    Propagation stops at the first pass that leaves some interval empty
+    (bounds only tighten, so the verdict is already final there) and
+    otherwise runs to its fixed point, which takes at most 2^(n+1) * D
+    passes for D the lcm of the weights' denominators.
     An envelope that fails verification without a provably empty interval
     is an internal-consistency failure: no graph has been seen to reach it.
 
@@ -225,6 +245,22 @@ def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
 
 
 def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
+    """Interval propagation over all 2^n values of the u-block table.
+
+    Each mask carries bounds lo <= g_u <= hi, and every pass applies the
+    tie, monotonicity and submodularity consequences until none changes.
+    The loop terminates without a pass cap:
+
+    - every bound is a multiple of 1/D, D the lcm of the weights'
+      denominators, since it starts as 0, 1, a weight or a capped weight
+      sum and each update adds or subtracts weights and other bounds;
+    - lo only rises and hi only falls, so an empty interval stays empty:
+      the loop raises after the first pass that leaves one, and after every
+      other pass 0 <= lo <= hi <= 1 holds for every mask;
+    - every pass that changes anything moves at least one of the 2^(n+1)
+      bounds by at least 1/D, so at most 2^(n+1) * D passes change
+      something before a pass that changes nothing ends the loop.
+    """
     n = g.n
     if n > SYNTHESIS_GUARD:
         raise GuardRefusal(f"table synthesis guarded at n <= {SYNTHESIS_GUARD}")
@@ -258,10 +294,8 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
 
     singles = [1 << i for i in range(n)]
     changed = True
-    passes = 0
-    while changed and passes < 200:
+    while changed:
         changed = False
-        passes += 1
         for a, b, d in ties:
             if lo[a] + d > lo[b]:
                 lo[b] = lo[a] + d
@@ -302,8 +336,8 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
                 if floor > lo[ay]:
                     lo[ay] = floor
                     changed = True
-    for mask in range(1 << n):
-        if lo[mask] > hi[mask]:
+        # bounds only tighten, so an empty interval stays empty
+        if any(low > high for low, high in zip(lo, hi)):
             raise InfeasibleLpError(
                 "no shared-capacity table satisfies the tie requirements"
             )
@@ -355,7 +389,13 @@ def sibling_instance(g: InfoGraph) -> WorstCaseInstance:
     every witness is observed by later J-members, w instead receives a
     worthless decoy action, which keeps its observers indifferent in the
     piling branch without changing either side of the ratio.
+
+    The instance is built once per graph and kept with its other facts.
     """
+    return _stored_certificate(g, "sibling_instance", _build_sibling_instance)
+
+
+def _build_sibling_instance(g: InfoGraph) -> WorstCaseInstance:
     verdict = sibling_property(g)
     if not verdict:
         raise InputError("graph lacks the sibling property")

@@ -9,9 +9,10 @@ undirected shadow of the graph (clique membership ignores edge direction).
 Vertices map to bits: agent i occupies bit i-1.
 
 Each graph computes its facts at most once: the maximal cliques, the
-``ExactNumbers``, the ``SiblingVerdict`` and (in ``lp``) the verified
-solution of the independence LP are computed on first use and kept on the
-graph itself, so every later caller reads the stored value and the facts go
+``ExactNumbers``, the ``SiblingVerdict``, (in ``lp``) the verified
+solution of the independence LP and (in ``bounds``) the certified ``1/a*``
+and sibling instances are computed on first use and kept on the graph
+itself, so every later caller reads the stored value and the facts go
 away with the graph.  Stored values are immutable; a size guard is checked
 on every call, before the stored value is read.
 """

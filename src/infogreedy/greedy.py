@@ -24,6 +24,9 @@ from .oracles import Instance
 
 BRANCH_GUARD = 10 ** 6
 PROFILE_GUARD = 10 ** 7
+# The worst-tie DFS recurses once per agent; this many agents leave room
+# under Python's default recursion limit (1000) for the caller's frames.
+DEPTH_GUARD = 800
 
 POLICIES = ("worst", "first", "random")
 
@@ -61,11 +64,10 @@ class EfficiencyReport:
 
 
 def _argmax_actions(oracle, actions: Sequence[int], observed: int):
+    """Indices of the best actions against ``observed``, and every action's value."""
     values = [oracle.value_mask(a | observed) for a in actions]
     best = max(values)
-    tied = [idx for idx, v in enumerate(values) if v == best]
-    base = oracle.value_mask(observed)
-    return tied, [v - base for v in values]
+    return [idx for idx, v in enumerate(values) if v == best], values
 
 
 def run_generalized_greedy(
@@ -120,10 +122,15 @@ def _worst_case_choices(inst, g, masks, max_branches) -> tuple[list[int], int]:
 
     State collapsing: the future depends only on the choices still observable
     by some later agent plus the running union of selections, so branches are
-    memoized on that pair.
+    memoized on that pair.  The search recurses once per agent and refuses
+    more than DEPTH_GUARD agents before it starts.
     """
     oracle = inst.oracle
     n = inst.n
+    if n > DEPTH_GUARD:
+        raise GuardRefusal(
+            f"worst-case exploration guarded at {DEPTH_GUARD} agents, got {n}"
+        )
     # choices of agent j that some agent >= i still observes
     visible_after: list[int] = [0] * (n + 2)
     for i in range(n, 0, -1):
@@ -175,13 +182,14 @@ def _replay(inst, g, masks, choice_idx, explored) -> GreedyOutcome:
         observed = 0
         for j_bit in _bits(g.in_masks[i]):
             observed |= chosen_masks[j_bit]
-        tied, margs = _argmax_actions(oracle, masks[i - 1], observed)
+        tied, values = _argmax_actions(oracle, masks[i - 1], observed)
+        base = oracle.value_mask(observed)
         pick = choice_idx[i - 1]
         trace.append(
             AgentTrace(
                 agent=i,
                 observed=frozenset(_bits(observed)),
-                marginals=tuple(margs),
+                marginals=tuple(v - base for v in values),
                 tied=tuple(tied),
                 chosen=pick,
             )

@@ -1,5 +1,7 @@
 """Efficiency brackets, certified worst-case instances, adversarial probe."""
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -128,6 +130,27 @@ class TestUpperBoundInstance:
                             - oracle.value_mask(base_mask)
                             == weights[agent]
                         )
+
+    def test_certificates_are_stored_with_the_graph(self):
+        g = InfoGraph(5, FIVE_CYCLE.edges)
+        for construct in (upper_bound_instance, sibling_instance):
+            first, again = construct(g), construct(g)
+            assert again == first and again.graph is g
+            assert again.instance is first.instance
+            assert construct(FIVE_CYCLE).instance is not first.instance
+
+    def test_stored_certificates_are_freed_with_the_graph(self):
+        # no reference cycle: dropping the graph frees them without the collector
+        g = InfoGraph(5, FIVE_CYCLE.edges)
+        oracles = [weakref.ref(construct(g).instance.oracle)
+                   for construct in (upper_bound_instance, sibling_instance)]
+        gc.collect()  # the engine's recursive search leaves cycles of its own
+        gc.disable()
+        try:
+            del g
+            assert [ref() for ref in oracles] == [None, None]
+        finally:
+            gc.enable()
 
     def test_realizes_inverse_fractional_number(self, rng):
         for _ in range(60):

@@ -5,8 +5,10 @@ from pathlib import Path
 
 import pytest
 
+import infogreedy.bounds as bounds_mod
 import infogreedy.lp as lp_mod
 from infogreedy.cli import main
+from infogreedy.greedy import DEPTH_GUARD
 from infogreedy.lp import independence_lp
 from infogreedy.serialize import parse_graph
 
@@ -142,6 +144,43 @@ class TestWorstCase:
         assert obj["sibling_instance"]["realized_gamma"] == "1/3"
         assert obj["adversarial_probe"]["min_gamma"] == "1/3"
 
+    def test_crossed_seven_cycle_takes_the_padded_path(self, capsys):
+        code, out = run(
+            capsys,
+            "worst-case",
+            "--graph",
+            str(FIXTURES / "crossed_seven_cycle.json"),
+            "--budget",
+            "100",
+        )
+        assert code == 0
+        obj = json.loads(out)
+        upper = obj["upper_bound_instance"]
+        assert upper["realized_gamma"] == "2/7"
+        # the sibling instance with a bonus target on agent 1, not a u/v table
+        assert upper["instance"]["kind"] == "wsc"
+        assert len(upper["instance"]["values"]) == len(obj["sibling_instance"]["instance"]["values"]) + 1
+
+    @pytest.mark.parametrize("name", GRAPH_FIXTURES + ("crossed_seven_cycle.json",))
+    def test_each_certificate_is_built_once_per_request(self, monkeypatch, capsys, name):
+        builds = []
+        for builder in ("_build_upper_bound_instance", "_build_sibling_instance"):
+            original = getattr(bounds_mod, builder)
+
+            def counted(g, builder=builder, original=original):
+                builds.append(builder)
+                return original(g)
+
+            monkeypatch.setattr(bounds_mod, builder, counted)
+        code, out = run(
+            capsys, "worst-case", "--graph", str(FIXTURES / name), "--budget", "40"
+        )
+        assert code == 0
+        sibling = "sibling_instance" in json.loads(out)
+        assert sorted(builds) == ["_build_sibling_instance"] * sibling + [
+            "_build_upper_bound_instance"
+        ]
+
 
 class TestAudit:
     def test_cover_instance_passes(self, capsys):
@@ -205,6 +244,22 @@ class TestContracts:
         big.write_text(json.dumps({"n": 17, "edges": [[1, 2], [2, 3]]}))
         assert main(["analyze", "--graph", str(big), "--format", "json"]) == 3
         assert solved == []
+
+    @pytest.mark.parametrize("n, code", [(DEPTH_GUARD, 0), (DEPTH_GUARD + 1, 3)])
+    def test_worst_tie_depth_guard(self, tmp_path, capsys, n, code):
+        # a path of single-action agents: the worst-tie search recurses once per agent
+        graph, inst = tmp_path / "path.json", tmp_path / "inst.json"
+        graph.write_text(json.dumps({"n": n, "edges": [[i, i + 1] for i in range(1, n)]}))
+        inst.write_text(json.dumps({
+            "kind": "wsc", "values": [1] * n, "actions": [[[i]] for i in range(n)],
+        }))
+        argv = ["solve", "--graph", str(graph), "--instance", str(inst), "--tie", "worst"]
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and f"guarded at {DEPTH_GUARD} agents" in err
+        else:
+            assert out.endswith("efficiency ratio: 1\n")
 
     def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
         # the entry count is compared with 2^ground without forming 1 << ground
