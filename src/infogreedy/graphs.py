@@ -6,7 +6,12 @@ representable: the constructor rejects any edge that points backward.
 
 Cliques, independence numbers, and clique covers are computed exactly on the
 undirected shadow of the graph (clique membership ignores edge direction).
-Vertices map to bits: agent i occupies bit i-1.
+Vertices map to bits: agent i occupies bit i-1.  One enumerator lists
+maximal cliques: Bron & Kerbosch (1973) with the pivot rule of Tomita,
+Tanaka & Takahashi (2006), refusing past ``MAXIMAL_CLIQUE_GUARD`` cliques.
+The maximum independent sets come from it too, with no scan over subsets:
+the maximal independent sets of G are the maximal cliques of its
+complement, and the largest of them are the maximum ones.
 
 Each graph computes its facts at most once: the maximal cliques, the
 ``ExactNumbers``, the ``SiblingVerdict``, (in ``lp``) the verified
@@ -28,6 +33,9 @@ from .errors import AdmissibilityError, GuardRefusal, InputError, InternalConsis
 
 EXACT_GUARD = 16
 CLIQUE_ROW_GUARD = 10000
+# A graph on n <= 16 agents has at most 324 maximal cliques (Moon & Moser,
+# 1965), so neither the exact numbers nor the complement path ever refuse.
+MAXIMAL_CLIQUE_GUARD = 10000
 
 
 class InfoGraph:
@@ -141,33 +149,43 @@ def _mask(vertices: Iterable[int]) -> int:
 
 
 def _maximal_clique_masks(adj: Sequence[int], allowed: int) -> list[int]:
-    """Pivoting Bron-Kerbosch over the induced subgraph on ``allowed``."""
+    """Pivoting Bron-Kerbosch over the induced subgraph on ``allowed``.
+
+    Depth first on an explicit stack, so a large clique cannot exhaust the
+    interpreter's recursion limit.  Each node's children depend only on the
+    node, so they are pushed together, in reverse to keep the recursive
+    visiting order.  Refuses once it has found more than
+    ``MAXIMAL_CLIQUE_GUARD`` cliques.
+    """
     found: list[int] = []
     nbr = [a & allowed for a in adj]
-
-    def expand(r: int, p: int, x: int):
+    stack = [(0, allowed, 0)]
+    while stack:
+        r, p, x = stack.pop()
         if p == 0 and x == 0:
             found.append(r)
-            return
+            if len(found) > MAXIMAL_CLIQUE_GUARD:
+                raise GuardRefusal(f"more than {MAXIMAL_CLIQUE_GUARD} maximal cliques")
+            continue
         # pivot eliminating the most candidates, lowest bit on ties
         pivot, best = -1, -1
         px = p | x
         while px:
             u = px & -px
-            deg = bin(p & nbr[u.bit_length()]).count("1")
+            deg = (p & nbr[u.bit_length()]).bit_count()
             if deg > best:
                 best, pivot = deg, u.bit_length()
             px &= px - 1
         cand = p & ~nbr[pivot]
+        children = []
         while cand:
             v = cand & -cand
             vb = v.bit_length()
-            expand(r | v, p & nbr[vb], x & nbr[vb])
+            children.append((r | v, p & nbr[vb], x & nbr[vb]))
             p &= ~v
             x |= v
             cand &= cand - 1
-
-    expand(0, allowed, 0)
+        stack.extend(reversed(children))
     return found
 
 
@@ -240,27 +258,18 @@ class ExactNumbers:
     max_independent_sets: tuple[frozenset[int], ...]
 
 
-def _independent(mask: int, adj: Sequence[int]) -> bool:
-    m = mask
-    while m:
-        v = m & -m
-        if adj[v.bit_length()] & mask:
-            return False
-        m &= m - 1
-    return True
-
-
 def _max_independent_masks(g: InfoGraph) -> tuple[int, list[int]]:
-    best, sets = 0, [0]
-    for mask in range(1, 1 << g.n):
-        size = bin(mask).count("1")
-        if size < best or not _independent(mask, g.adj_masks):
-            continue
-        if size > best:
-            best, sets = size, [mask]
-        else:
-            sets.append(mask)
-    return best, sets
+    """alpha and every maximum independent set, as bitmasks.
+
+    The maximal independent sets of G are the maximal cliques of its
+    complement, so the clique enumerator lists them without a subset scan;
+    the largest of them are the maximum independent sets.
+    """
+    full = (1 << g.n) - 1
+    comp = [0] + [~a & full & ~(1 << v) for v, a in enumerate(g.adj_masks[1:])]
+    sets = _maximal_clique_masks(comp, full)
+    best = max(s.bit_count() for s in sets)
+    return best, [s for s in sets if s.bit_count() == best]
 
 
 def _min_clique_cover(g: InfoGraph) -> int:

@@ -18,8 +18,10 @@ variables, which covers both clique relaxations:
   primal    max 1'z   s.t.  Wz <= 1, z >= 0     (fractional independence)
   dual      min 1'y   s.t.  W'y >= 1, y >= 0     (fractional clique cover)
 
-Every solution carries a dual certificate that is re-verified exactly, in
-Fractions against the original LinearProgram.
+Every solution carries a dual certificate that ``verify_certificate``
+re-checks exactly against the original LinearProgram, independently of the
+tableau: on integers, with each row scaled by the lcm of its denominators
+and every comparison made by cross-multiplying.
 
 A graph's independence LP is solved once: the verified solution is kept on
 the graph with its other facts (see ``graphs``).  Its dual is a fractional
@@ -272,33 +274,57 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 
 
 def verify_certificate(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
-    """Exact primal feasibility, dual feasibility, and objective equality."""
-    x = sol.point
+    """Exact primal feasibility, dual feasibility, and objective equality.
+
+    Checked on integers against ``lp`` alone, independently of the solver:
+    each row with its rhs is scaled by the lcm ``s_i`` of its denominators,
+    the objective by its own lcm, and ``x`` and ``y`` are written over their
+    common denominators, so every comparison is a cross-multiplied integer
+    one.  For the dual columns, ``W_i = Y_i * (L / s_i)``, with ``L`` the lcm
+    of all ``s_i``, puts every row over the one denominator ``L``.
+    """
     n = len(lp.objective)
-    if len(x) != n:
+    if len(sol.point) != n:
         return False, "point has wrong dimension"
-    if any(v < 0 for v in x):
+    # x = X / dx
+    dx, xs = _scaled(sol.point)
+    if any(v < 0 for v in xs):
         return False, "point violates nonnegativity"
+    scales, rows = [], []
     for row, b in zip(lp.rows, lp.rhs):
-        if sum(a * v for a, v in zip(row, x)) > b:
+        scale, ints = _scaled(row + (b,))
+        scales.append(scale)
+        rows.append(ints)
+    support = [(j, v) for j, v in enumerate(xs) if v]
+    for ints in rows:
+        if sum(ints[j] * v for j, v in support) > ints[n] * dx:
             return False, "point violates a row"
-    primal = sum(c * v for c, v in zip(lp.objective, x))
-    if primal != sol.optimum:
+    # c = C / sc and optimum = p / q: c'x = optimum iff C'X * q = p * sc * dx
+    sc, cs = _scaled(lp.objective)
+    p, q = sol.optimum.numerator, sol.optimum.denominator
+    if sum(cs[j] * v for j, v in support) * q != p * sc * dx:
         return False, "objective value mismatch"
 
     y = sol.certificate["dual"]
     if len(y) != len(lp.rows):
         return False, "dual has wrong dimension"
+    # y = Y / dy; the normalized dual is min y'b s.t. A'y >= c, y >= 0 (for
+    # a max-sense primal; both inequalities flip for a min-sense one)
+    dy, ys = _scaled(y)
     sign = 1 if lp.sense == "max" else -1
-    # normalized dual: min y'b s.t. A'y >= c, y >= 0 (for max-sense primal)
-    if any(sign * v < 0 for v in y):
+    if any(sign * v < 0 for v in ys):
         return False, "dual violates nonnegativity"
+    big = math.lcm(*scales)
+    weighted = [(ints, v * (big // s)) for ints, v, s in zip(rows, ys, scales) if v]
+    # column j of A'y is cols[j] / den
+    den = big * dy
+    cols = [0] * n
+    for ints, w in weighted:
+        cols = [col + a * w for col, a in zip(cols, ints)]
     for j in range(n):
-        col = sum(lp.rows[i][j] * y[i] for i in range(len(lp.rows)))
-        if sign * (col - lp.objective[j]) < 0:
+        if sign * (cols[j] * sc - cs[j] * den) < 0:
             return False, f"dual violates column {j}"
-    dual_obj = sum(b * v for b, v in zip(lp.rhs, y))
-    if dual_obj != sol.optimum:
+    if sum(ints[n] * w for ints, w in weighted) * q != p * den:
         return False, "strong duality gap"
     return True, "ok"
 

@@ -12,6 +12,9 @@ Elements are 0-based ids into the oracle's ground set; for "vta" the id of
 agent a engaging target t is a * n_targets + t.
 
 Graph schema: {"n": int, "edges": [[i, j], ...]} with 1-based agents, i < j.
+A graph document with more than ``AGENT_GUARD`` agents is refused before the
+graph is built.  Counts, endpoints, element ids and ground sizes are JSON
+integers; ``true`` and ``false`` are refused wherever an integer is wanted.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
-from .errors import InputError
+from .errors import GuardRefusal, InputError
 from .graphs import InfoGraph
 from .oracles import (
     CappedSumOracle,
@@ -33,6 +36,13 @@ from .oracles import (
     WeightedSetCoverOracle,
     make_instance,
 )
+
+AGENT_GUARD = 10000
+
+
+def _is_int(value: Any) -> bool:
+    # bool is a subclass of int, but JSON true/false are not counts or ids
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_rational(value: Any, where: str = "") -> Fraction:
@@ -73,14 +83,16 @@ def graph_to_obj(g: InfoGraph) -> dict:
 def graph_from_obj(obj: Any) -> InfoGraph:
     if not isinstance(obj, dict):
         raise InputError("graph document must be an object")
-    if "n" not in obj or not isinstance(obj["n"], int):
+    if not _is_int(obj.get("n")):
         raise InputError("/n: missing or non-integer agent count")
+    if obj["n"] > AGENT_GUARD:
+        raise GuardRefusal(f"n={obj['n']} exceeds the agent guard {AGENT_GUARD}")
     edges = obj.get("edges", [])
     if not isinstance(edges, list):
         raise InputError("/edges: expected a list")
     parsed = []
     for idx, e in enumerate(edges):
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_int(x) for x in e)):
             raise InputError(f"/edges/{idx}: expected a pair of integers")
         parsed.append((e[0], e[1]))
     return InfoGraph(obj["n"], parsed)
@@ -132,7 +144,7 @@ def oracle_from_obj(obj: Any) -> ValuationOracle:
         table = _mask_table(obj.get("u_table"), "/u_table")
         return TwoBlockOracle(table, weights)
     if kind == "table":
-        if not isinstance(obj.get("ground"), int):
+        if not _is_int(obj.get("ground")):
             raise InputError("/ground: missing or non-integer")
         return TableOracle(obj["ground"], _mask_table(obj.get("table"), "/table"))
     raise InputError(f"/kind: unknown oracle kind {kind!r}")
@@ -168,7 +180,7 @@ def instance_from_obj(obj: Any) -> Instance:
             raise InputError(f"/actions/{i}: each agent needs a nonempty action list")
         agent_actions = []
         for j, act in enumerate(acts):
-            if not isinstance(act, list) or not all(isinstance(e, int) for e in act):
+            if not isinstance(act, list) or not all(_is_int(e) for e in act):
                 raise InputError(f"/actions/{i}/{j}: an action is a list of element ids")
             for e in act:
                 if not 0 <= e < oracle.ground_size:

@@ -1,16 +1,18 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import json
+import time
 from pathlib import Path
 
 import pytest
 
 import infogreedy.bounds as bounds_mod
 import infogreedy.lp as lp_mod
+import infogreedy.serialize as serialize_mod
 from infogreedy.cli import main
 from infogreedy.greedy import DEPTH_GUARD
 from infogreedy.lp import independence_lp
-from infogreedy.serialize import parse_graph
+from infogreedy.serialize import AGENT_GUARD, parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "infogreedy" / "fixtures"
 GRAPH_FIXTURES = (
@@ -260,6 +262,59 @@ class TestContracts:
             assert out == "" and f"guarded at {DEPTH_GUARD} agents" in err
         else:
             assert out.endswith("efficiency ratio: 1\n")
+
+    @pytest.mark.parametrize("doc", [
+        {"n": True, "edges": []},
+        {"n": 3, "edges": [[1, True]]},
+        {"n": 3, "edges": [[False, 2]]},
+    ])
+    def test_boolean_graph_integers_are_input_errors(self, tmp_path, capsys, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["analyze", "--graph", str(path), "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "integer" in err
+
+    @pytest.mark.parametrize("doc, where", [
+        ({"kind": "wsc", "values": [1, 1], "actions": [[[True]]]}, "/actions/0/0"),
+        ({"kind": "table", "ground": True, "table": {"0": 0, "1": 1}, "actions": [[[0]]]},
+         "/ground"),
+    ])
+    def test_boolean_instance_integers_are_input_errors(self, tmp_path, capsys, doc, where):
+        graph, inst = tmp_path / "graph.json", tmp_path / "inst.json"
+        graph.write_text(json.dumps({"n": 1, "edges": []}))
+        inst.write_text(json.dumps(doc))
+        assert main(["solve", "--graph", str(graph), "--instance", str(inst)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and where in err
+
+    def test_agent_guard_refuses_before_building_the_graph(self, monkeypatch, tmp_path, capsys):
+        built = []
+        monkeypatch.setattr(serialize_mod, "InfoGraph", lambda *args: built.append(args))
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({"n": 100_000_000, "edges": []}))
+        assert main(["analyze", "--graph", str(big)]) == 3
+        assert f"agent guard {AGENT_GUARD}" in capsys.readouterr().err
+        assert built == []
+
+    @pytest.mark.parametrize("n, code", [(AGENT_GUARD, 0), (AGENT_GUARD + 1, 3)])
+    def test_agent_guard_boundary(self, tmp_path, capsys, n, code):
+        assert AGENT_GUARD > DEPTH_GUARD + 1
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": n, "edges": []}))
+        assert main(["analyze", "--graph", str(path), "--format", "dot"]) == code
+
+    def test_moon_moser_clique_count_guard(self, tmp_path, capsys):
+        # the complement of 12 disjoint triangles has 3^12 maximal cliques
+        n = 36
+        edges = [[i, j] for i in range(1, n + 1) for j in range(i + 1, n + 1)
+                 if (i - 1) // 3 != (j - 1) // 3]
+        path = tmp_path / "moon_moser.json"
+        path.write_text(json.dumps({"n": n, "edges": edges}))
+        start = time.perf_counter()
+        assert main(["worst-case", "--graph", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert "maximal cliques" in capsys.readouterr().err
 
     def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
         # the entry count is compared with 2^ground without forming 1 << ground

@@ -1,15 +1,19 @@
-"""Differential tests for the integer simplex and the integer oracle audit.
+"""Differential tests for the integer simplex, its certificate check and the
+integer oracle audit.
 
-The library runs both kernels on Python ints.  The references below are the
-plain Fraction implementations they replaced; the integer kernels must agree
-with them exactly: the same optimum, vertex and dual certificate, the same
-error class, and the same audit verdicts and witnesses.  scipy's float
+The library runs all three kernels on Python ints.  The references below are
+the plain Fraction implementations they replaced; the integer kernels must
+agree with them exactly: the same optimum, vertex and dual certificate, the
+same error class, the same certificate verdicts and reasons, and the same
+audit verdicts and witnesses.  scipy's float
 ``linprog`` serves only as an independent sanity bracket, never as the
 reference.
 """
 
 import random
+import re
 import tokenize
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -19,6 +23,7 @@ import pytest
 from infogreedy import (
     InfeasibleLpError,
     InfoGraph,
+    InternalConsistencyError,
     LinearProgram,
     TableOracle,
     UnboundedLpError,
@@ -29,6 +34,7 @@ from infogreedy import (
     upper_bound_instance,
     verify_certificate,
 )
+import infogreedy.lp as lp_mod
 from infogreedy.lp import cover_lp, independence_lp
 from infogreedy.oracles import AuditReport, set_of
 from conftest import random_graph, unlabeled_classes
@@ -123,6 +129,37 @@ def reference_solve(lp: LinearProgram):
     if lp.sense == "min":
         value, dual = -value, [-y for y in dual]
     return value, tuple(point), tuple(dual)
+
+
+def reference_verify_certificate(lp: LinearProgram, sol) -> tuple[bool, str]:
+    """The certificate check over Fraction, every sum formed exactly."""
+    x = sol.point
+    n = len(lp.objective)
+    if len(x) != n:
+        return False, "point has wrong dimension"
+    if any(v < 0 for v in x):
+        return False, "point violates nonnegativity"
+    for row, b in zip(lp.rows, lp.rhs):
+        if sum(a * v for a, v in zip(row, x)) > b:
+            return False, "point violates a row"
+    primal = sum(c * v for c, v in zip(lp.objective, x))
+    if primal != sol.optimum:
+        return False, "objective value mismatch"
+
+    y = sol.certificate["dual"]
+    if len(y) != len(lp.rows):
+        return False, "dual has wrong dimension"
+    sign = 1 if lp.sense == "max" else -1
+    if any(sign * v < 0 for v in y):
+        return False, "dual violates nonnegativity"
+    for j in range(n):
+        col = sum(lp.rows[i][j] * y[i] for i in range(len(lp.rows)))
+        if sign * (col - lp.objective[j]) < 0:
+            return False, f"dual violates column {j}"
+    dual_obj = sum(b * v for b, v in zip(lp.rhs, y))
+    if dual_obj != sol.optimum:
+        return False, "strong duality gap"
+    return True, "ok"
 
 
 def reference_audit(oracle) -> AuditReport:
@@ -224,6 +261,36 @@ class TestSimplexDifferential:
             for lp in (independence_lp(g), cover_lp(g)):
                 assert integer_solve(lp) == reference_solve(lp)
 
+    def test_random_certificates_match_the_fraction_reference(self):
+        # the 600 LPs above, each with its verified solution and with one
+        # corruption of the point, the optimum and the dual apiece
+        rng = random.Random(1967)
+        verdicts = set()
+        for _ in range(600):
+            lp = random_lp(rng)
+            try:
+                sol = solve_lp(lp)
+            except (InfeasibleLpError, UnboundedLpError):
+                continue
+            x, y = list(sol.point), list(sol.certificate["dual"])
+            x[rng.randrange(len(x))] += F(rng.choice((-1, 1)), rng.randint(1, 5))
+            y[rng.randrange(len(y))] += F(rng.choice((-1, 1)), rng.randint(1, 5))
+            candidates = [
+                sol,
+                replace(sol, point=tuple(x)),
+                replace(sol, optimum=sol.optimum + F(1, rng.randint(1, 5))),
+                replace(sol, certificate={"dual": tuple(y)}),
+            ]
+            for cand in candidates:
+                got = verify_certificate(lp, cand)
+                assert got == reference_verify_certificate(lp, cand), (lp, cand)
+                verdicts.add(re.sub(r"\d+$", "j", got[1]))
+        assert verdicts == {
+            "ok", "point violates nonnegativity", "point violates a row",
+            "objective value mismatch", "dual violates nonnegativity",
+            "dual violates column j", "strong duality gap",
+        }
+
     def test_outcomes_agree_with_a_float_solver(self):
         # scipy only brackets: an exact optimum must sit within float
         # tolerance of HiGHS, and each error class must have a float witness
@@ -258,6 +325,68 @@ class TestSimplexDifferential:
                 assert res.status == 0
                 value = got[0] if lp.sense == "max" else -got[0]
                 assert float(value) == pytest.approx(-res.fun, rel=1e-7, abs=1e-7)
+
+
+# max 3/2 x1 + x2 with a >= row; every normalized row is nonnegative
+MAX_LP = LinearProgram.build(
+    [F(3, 2), 1],
+    [[1, F(1, 2)], [F(1, 3), 1], [-1, -1]],
+    ["<=", "<=", ">="],
+    [2, F(5, 3), -3],
+    "max",
+)
+# min 1/2 x1 + 2/3 x2 + x3 over two >= rows and the <= row x1 <= 3
+MIN_LP = LinearProgram.build(
+    [F(1, 2), F(2, 3), 1],
+    [[1, 2, F(1, 2)], [F(3, 4), 1, 1], [1, 0, 0]],
+    [">=", ">=", "<="],
+    [4, F(5, 2), 3],
+    "min",
+)
+
+
+def corruptions(lp: LinearProgram, sol):
+    """One corrupted copy of ``sol`` per failure reason, with that reason.
+
+    The dual of a min-sense LP is nonpositive (``sign`` -1).  Its columns
+    break when a >= row, negated to <= at construction, is weighted by -10;
+    the duality gap opens by adding the multiple ``sign`` of a row with
+    nonnegative coefficients, which keeps every column feasible.
+    """
+    x, y = sol.point, sol.certificate["dual"]
+    sign = 1 if lp.sense == "max" else -1
+    violating_dual = (F(0),) * len(y) if sign == 1 else (F(-10),) + y[1:]
+    gap_row = 0 if sign == 1 else 2
+    gapped = tuple(v + sign * (i == gap_row) for i, v in enumerate(y))
+
+    def dual(values):
+        return replace(sol, certificate={"dual": values})
+
+    return [
+        (replace(sol, point=x + (F(0),)), "point has wrong dimension"),
+        (replace(sol, point=(F(-1, 5),) + x[1:]), "point violates nonnegativity"),
+        (replace(sol, point=tuple(v + 10 for v in x)), "point violates a row"),
+        (replace(sol, optimum=sol.optimum + F(1, 7)), "objective value mismatch"),
+        (dual(y[:-1]), "dual has wrong dimension"),
+        (dual((F(-sign, 4),) + y[1:]), "dual violates nonnegativity"),
+        (dual(violating_dual), "dual violates column 0"),
+        (dual(gapped), "strong duality gap"),
+    ]
+
+
+class TestCertificateCheck:
+    @pytest.mark.parametrize("lp", [MAX_LP, MIN_LP], ids=["max", "min"])
+    def test_each_reason_fires_on_its_corruption(self, lp):
+        sol = solve_lp(lp)
+        assert verify_certificate(lp, sol) == reference_verify_certificate(lp, sol) == (True, "ok")
+        for bad, reason in corruptions(lp, sol):
+            assert verify_certificate(lp, bad) == (False, reason)
+            assert reference_verify_certificate(lp, bad) == (False, reason)
+
+    def test_solve_lp_raises_on_a_failed_check(self, monkeypatch):
+        monkeypatch.setattr(lp_mod, "verify_certificate", lambda lp, sol: (False, "probe"))
+        with pytest.raises(InternalConsistencyError, match="simplex certificate failed: probe"):
+            solve_lp(MAX_LP)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +481,7 @@ def float_tokens(path: Path) -> list[str]:
 
 
 class TestFloatFree:
-    @pytest.mark.parametrize("module", ["lp.py", "oracles.py"])
+    @pytest.mark.parametrize("module", ["graphs.py", "lp.py", "oracles.py"])
     def test_kernel_has_no_float(self, module):
         assert float_tokens(SRC / module) == []
 
