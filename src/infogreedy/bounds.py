@@ -458,6 +458,8 @@ def adversarial_search(g: InfoGraph, budget: int = 2000, seed: int = 0) -> Searc
     """
     if g.n < 1:
         raise InputError("search needs at least one agent")
+    if budget < 0:
+        raise InputError(f"probe budget must be nonnegative, got {budget}")
     rng = random.Random(seed)
     floor = efficiency_bounds(g).lower
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import verify as verify_mod
 from .bounds import adversarial_search, efficiency_bounds, sibling_instance, upper_bound_instance
-from .design import CASE_TURAN, efficiency_curve, optimal_structure
+from .design import CASE_TURAN, DESIGN_GUARD, efficiency_curve, optimal_structure
 from .errors import exit_code_for
 from .graphs import analyze_graph, complete_graph, sibling_property, to_dot
 from .greedy import brute_force_opt, run_generalized_greedy
@@ -308,20 +308,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worst-case", help="emit certified bound-achieving instances")
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=int, default=0,
-                   help="extra adversarial probe budget (0 = skip)")
+                   help="extra adversarial probe budget (0 = skip, must be nonnegative)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_worst_case)
 
+    n_help = f"number of agents, at most {DESIGN_GUARD:,} (more is refused with exit 3)"
     p = sub.add_parser("design", help="edge-budget-optimal information structure")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("table", "json", "dot"), default="table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("curve", help="guaranteed efficiency for every edge budget")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
     p.set_defaults(func=cmd_curve)

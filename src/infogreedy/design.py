@@ -12,6 +12,9 @@ its guarantee 1/(1+r) is realized by an explicit instance; the edgeless
 design guarantees exactly 1/n (with no information, each agent's solo pick
 is at least a 1/n fraction of any profile by subadditivity, and the shared
 target instance meets it); the clique-minus-edge case guarantees 1/2.
+
+A design has O(n^2) edges and a curve n(n-1)/2 + 1 rows, so both refuse
+more than ``DESIGN_GUARD`` agents before any work.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 
-from .errors import InputError, InternalConsistencyError
+from .errors import GuardRefusal, InputError, InternalConsistencyError
 from .graphs import InfoGraph
 
 CASE_TURAN = "t_hat"
 CASE_CLIQUE_MINUS_EDGE = "clique_minus_edge"
+DESIGN_GUARD = 1000
 
 
 @dataclass(frozen=True)
@@ -114,10 +118,16 @@ def _design_guarantee(n: int, r: int) -> Fraction:
     return Fraction(1, 1 + r)
 
 
-def optimal_structure(n: int, m: int) -> DesignResult:
-    """The best certified design for n agents under an edge budget m."""
+def _check_agents(n: int):
     if n < 1:
         raise InputError("need at least one agent")
+    if n > DESIGN_GUARD:
+        raise GuardRefusal(f"n={n} exceeds the design guard {DESIGN_GUARD}")
+
+
+def optimal_structure(n: int, m: int) -> DesignResult:
+    """The best certified design for n agents under an edge budget m."""
+    _check_agents(n)
     if not 0 <= m <= n * (n - 1) // 2:
         raise InputError(f"edge budget {m} outside 0..{n * (n - 1) // 2}")
     if n >= 2 and m == n * (n - 1) // 2 - 1:
@@ -147,8 +157,7 @@ def efficiency_curve(n: int) -> list[CurvePoint]:
     the smallest block count r with edge_count(n, r) <= m only falls as m
     grows, so one downward walk over r serves every budget.
     """
-    if n < 1:
-        raise InputError("need at least one agent")
+    _check_agents(n)
     top = n * (n - 1) // 2
     points = []
     r = n

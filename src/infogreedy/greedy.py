@@ -8,7 +8,14 @@ Tie handling is the whole story for worst-case analysis: the efficiency ratio
 is defined against the worst candidate solution over every chain of argmax
 tie breaks, so the "worst" policy enumerates all branches exhaustively (with
 memoization on what the future can still observe) rather than sampling.
-All comparisons are exact rationals; there are no epsilon ties.
+All comparisons are exact; there are no epsilon ties.  They read the
+oracle's ``value_num``, integers over one fixed denominator for every oracle
+that has one, and Fractions are built only for the values handed back: the
+returned values, the marginals of a ``solve`` trace, and the ratio.
+
+The optimum is a dynamic program over action unions, exact for any set
+function, monotone or not.  ``efficiency`` reads only the worst choice
+vector, so it builds no per-agent trace.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from typing import Sequence
 
 from .errors import DegenerateInstanceError, GuardRefusal, InputError
 from .graphs import InfoGraph, is_complete
-from .oracles import Instance
+from .oracles import Instance, mask_of
 
 BRANCH_GUARD = 10 ** 6
 PROFILE_GUARD = 10 ** 7
@@ -63,11 +70,11 @@ class EfficiencyReport:
     sol_profile: tuple[frozenset[int], ...]
 
 
-def _argmax_actions(oracle, actions: Sequence[int], observed: int):
-    """Indices of the best actions against ``observed``, and every action's value."""
-    values = [oracle.value_mask(a | observed) for a in actions]
+def _argmax_actions(oracle, actions: Sequence[int], observed: int) -> list[int]:
+    """Indices of the best actions against ``observed``."""
+    values = [oracle.value_num(a | observed) for a in actions]
     best = max(values)
-    return [idx for idx, v in enumerate(values) if v == best], values
+    return [idx for idx, v in enumerate(values) if v == best]
 
 
 def run_generalized_greedy(
@@ -101,7 +108,7 @@ def run_generalized_greedy(
             observed = 0
             for j_bit in _bits(g.in_masks[i]):
                 observed |= chosen_masks[j_bit]
-            tied, _ = _argmax_actions(oracle, masks[i - 1], observed)
+            tied = _argmax_actions(oracle, masks[i - 1], observed)
             pick = tied[0] if policy == "first" else rng.choice(tied)
             choice_idx.append(pick)
             chosen_masks.append(masks[i - 1][pick])
@@ -146,7 +153,7 @@ def _worst_case_choices(inst, g, masks, max_branches) -> tuple[list[int], int]:
                 raise GuardRefusal(
                     f"worst-case exploration exceeded {max_branches} branches"
                 )
-            return oracle.value_mask(union), ()
+            return oracle.value_num(union), ()
         vis = visible_after[i] & ((1 << (i - 1)) - 1)  # decided and still observable
         key = (i, tuple(chosen[j] for j in _bits(vis)), union)
         got = memo.get(key)
@@ -155,7 +162,7 @@ def _worst_case_choices(inst, g, masks, max_branches) -> tuple[list[int], int]:
         observed = 0
         for j_bit in _bits(g.in_masks[i]):
             observed |= masks[j_bit][chosen[j_bit]]
-        tied, _ = _argmax_actions(oracle, masks[i - 1], observed)
+        tied = _argmax_actions(oracle, masks[i - 1], observed)
         best_val, best_tail = None, None
         for idx in tied:
             val, tail = visit(
@@ -182,14 +189,16 @@ def _replay(inst, g, masks, choice_idx, explored) -> GreedyOutcome:
         observed = 0
         for j_bit in _bits(g.in_masks[i]):
             observed |= chosen_masks[j_bit]
-        tied, values = _argmax_actions(oracle, masks[i - 1], observed)
+        tied = _argmax_actions(oracle, masks[i - 1], observed)
         base = oracle.value_mask(observed)
         pick = choice_idx[i - 1]
         trace.append(
             AgentTrace(
                 agent=i,
                 observed=frozenset(_bits(observed)),
-                marginals=tuple(v - base for v in values),
+                marginals=tuple(
+                    oracle.value_mask(a | observed) - base for a in masks[i - 1]
+                ),
                 tied=tuple(tied),
                 chosen=pick,
             )
@@ -201,7 +210,21 @@ def _replay(inst, g, masks, choice_idx, explored) -> GreedyOutcome:
 
 
 def brute_force_opt(inst: Instance, max_profiles: int = PROFILE_GUARD) -> OptResult:
-    """Exhaustive maximum over the action-set product, first maximizer kept."""
+    """Exact maximum over the action-set product, first maximizer kept.
+
+    ``f`` sees a profile only through the union of its actions, so this is
+    a dynamic program over unions, not a loop over profiles.  Walking the
+    agents in order, it keeps for each union that some prefix reaches the
+    lexicographically first such prefix of action indices: if two prefixes
+    reach the same union, so does every common extension, and the first
+    stays first, so the first profile of every final union is found.  Each
+    layer extends the previous one in its order, actions in listed order,
+    so unions stay in the lexicographic order of their prefixes.  ``f`` is
+    evaluated once per final union, and the first largest value wins: the
+    first maximizer in product order.  Nothing here assumes monotonicity or
+    submodularity, so the result is exact for any ``f``.  The product-size
+    guard still refuses before any search.
+    """
     total = 1
     for acts in inst.actions:
         total *= len(acts)
@@ -210,30 +233,27 @@ def brute_force_opt(inst: Instance, max_profiles: int = PROFILE_GUARD) -> OptRes
                 f"profile space exceeds brute-force guard {max_profiles}"
             )
     oracle = inst.oracle
-    masks = inst.action_masks()
-    n = inst.n
-    best_val = None
-    best_idx: tuple[int, ...] = ()
-
-    idx = [0] * n
-    while True:
-        union = 0
-        for i in range(n):
-            union |= masks[i][idx[i]]
-        val = oracle.value_mask(union)
-        if best_val is None or val > best_val:
-            best_val, best_idx = val, tuple(idx)
-        pos = n - 1
-        while pos >= 0:
-            idx[pos] += 1
-            if idx[pos] < len(masks[pos]):
-                break
-            idx[pos] = 0
-            pos -= 1
-        if pos < 0:
-            break
-    profile = tuple(inst.actions[i][best_idx[i]] for i in range(n))
-    return OptResult(best_val, profile)
+    # layers[i]: union after agents 1..i+1 -> (union after agents 1..i, action index)
+    layers: list[dict[int, tuple[int, int]]] = []
+    reached: dict = {0: None}
+    for acts in inst.action_masks():
+        nxt: dict[int, tuple[int, int]] = {}
+        for union in reached:
+            for idx, a in enumerate(acts):
+                key = union | a
+                if key not in nxt:
+                    nxt[key] = (union, idx)
+        layers.append(nxt)
+        reached = nxt
+    best = max(reached, key=oracle.value_num)  # max keeps the first maximal union
+    picks = []
+    union = best
+    for layer in reversed(layers):
+        union, idx = layer[union]
+        picks.append(idx)
+    picks.reverse()
+    profile = tuple(acts[idx] for acts, idx in zip(inst.actions, picks))
+    return OptResult(oracle.value_mask(best), profile)
 
 
 def efficiency(
@@ -242,19 +262,30 @@ def efficiency(
     max_branches: int = BRANCH_GUARD,
     max_profiles: int = PROFILE_GUARD,
 ) -> EfficiencyReport:
-    """Worst-case greedy value divided by the brute-force optimum."""
+    """Worst-case greedy value divided by the brute-force optimum.
+
+    Only the worst choice vector is needed, so no per-agent trace is built.
+    """
     opt = brute_force_opt(inst, max_profiles)
     if opt.value == 0:
         raise DegenerateInstanceError(
             "optimum value is 0, efficiency ratio undefined"
         )
-    sol = run_generalized_greedy(inst, g, "worst", max_branches=max_branches)
+    if g.n != inst.n:
+        raise InputError(f"graph has {g.n} agents but instance has {inst.n}")
+    oracle = inst.oracle
+    masks = inst.action_masks()
+    choice_idx, _ = _worst_case_choices(inst, g, masks, max_branches)
+    sol_union = 0
+    for acts, idx in zip(masks, choice_idx):
+        sol_union |= acts[idx]
+    opt_union = mask_of(frozenset().union(*opt.profile), oracle.ground_size)
     return EfficiencyReport(
-        gamma=sol.value / opt.value,
+        gamma=Fraction(oracle.value_num(sol_union), oracle.value_num(opt_union)),
         opt_value=opt.value,
-        sol_value=sol.value,
+        sol_value=oracle.value_mask(sol_union),
         opt_profile=opt.profile,
-        sol_profile=sol.profile,
+        sol_profile=tuple(acts[idx] for acts, idx in zip(inst.actions, choice_idx)),
     )
 
 

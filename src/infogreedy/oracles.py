@@ -8,6 +8,12 @@ construction and sum integer numerators, and the exhaustive audit scales
 its value vector by the lcm of the denominators and compares integers;
 both stay exact and hand out the same Fractions.
 
+``value_mask`` returns a Fraction to every caller.  ``value_num`` returns a
+cached value that compares exactly with the oracle's other values: the
+integer numerator over the fixed denominator where the oracle has one, and
+the Fraction itself otherwise (``vta``).  The greedy engine compares these,
+and builds Fractions only for the values it returns.
+
 Ground-set elements are dense integer ids 0..m-1.  Subsets travel through the
 public API as iterables of ids and internally as bitmasks, with per-oracle
 memoization of evaluated masks.
@@ -97,6 +103,10 @@ class ValuationOracle:
             self._cache[mask] = got
         return got
 
+    def value_num(self, mask: int):
+        """f(mask) in a form that orders exactly against this oracle's other values."""
+        return self.value_mask(mask)
+
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(subset, self.ground_size))
 
@@ -108,7 +118,35 @@ class ValuationOracle:
         raise NotImplementedError
 
 
-class WeightedSetCoverOracle(ValuationOracle):
+class ScaledOracle(ValuationOracle):
+    """An oracle whose values are integer numerators over one denominator.
+
+    Subclasses set ``_den`` (positive) at construction and implement
+    ``_value_num``; ``value_num`` caches those integers, which order exactly
+    as the Fractions ``value_mask`` hands out.
+    """
+
+    _den: int
+
+    def __init__(self, ground_size: int):
+        super().__init__(ground_size)
+        self._num_cache: dict[int, int] = {}
+
+    def _value_num(self, mask: int) -> int:
+        raise NotImplementedError
+
+    def _value_mask(self, mask: int) -> Fraction:
+        return Fraction(self._value_num(mask), self._den)
+
+    def value_num(self, mask: int) -> int:
+        got = self._num_cache.get(mask)
+        if got is None:
+            got = self._value_num(mask)
+            self._num_cache[mask] = got
+        return got
+
+
+class WeightedSetCoverOracle(ScaledOracle):
     """f(A) = sum of target values over covered targets, each counted once."""
 
     kind = "wsc"
@@ -122,7 +160,7 @@ class WeightedSetCoverOracle(ValuationOracle):
         self.values = values
         self._den, self._nums = _scaled(values)
 
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_num(self, mask: int) -> int:
         nums = self._nums
         total = 0
         t = 0
@@ -131,7 +169,7 @@ class WeightedSetCoverOracle(ValuationOracle):
                 total += nums[t]
             mask >>= 1
             t += 1
-        return Fraction(total, self._den)
+        return total
 
     def to_params(self) -> dict:
         return {"kind": self.kind, "values": list(self.values)}
@@ -186,7 +224,7 @@ class TargetAssignmentOracle(ValuationOracle):
         return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
 
 
-class CappedSumOracle(ValuationOracle):
+class CappedSumOracle(ScaledOracle):
     """Two-block ground set {u_1..u_n, v_1..v_n} with per-agent weights w.
 
     f(A) = min(1, sum of w_i over u_i in A) + sum of w_i over v_i in A.
@@ -215,7 +253,7 @@ class CappedSumOracle(ValuationOracle):
     def v_id(self, agent: int) -> int:
         return self.n_agents + agent
 
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_num(self, mask: int) -> int:
         n = self.n_agents
         nums = self._nums
         capped = 0
@@ -225,13 +263,13 @@ class CappedSumOracle(ValuationOracle):
                 capped += nums[i]
             if mask >> (n + i) & 1:
                 modular += nums[i]
-        return Fraction(min(self._den, capped) + modular, self._den)
+        return min(self._den, capped) + modular
 
     def to_params(self) -> dict:
         return {"kind": self.kind, "weights": list(self.weights)}
 
 
-class TwoBlockOracle(ValuationOracle):
+class TwoBlockOracle(ScaledOracle):
     """Ground set {u_1..u_n, v_1..v_n}: tabulated u-block plus modular v-block.
 
     f(A) = table[A restricted to u block] + sum of w_i over v_i in A.  The
@@ -266,14 +304,14 @@ class TwoBlockOracle(ValuationOracle):
     def v_id(self, agent: int) -> int:
         return self.n_agents + agent
 
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_num(self, mask: int) -> int:
         n = self.n_agents
         w = self._w_nums
         total = self._u_nums[mask & ((1 << n) - 1)]
         for i in range(n):
             if mask >> (n + i) & 1:
                 total += w[i]
-        return Fraction(total, self._den)
+        return total
 
     def to_params(self) -> dict:
         return {
@@ -283,7 +321,7 @@ class TwoBlockOracle(ValuationOracle):
         }
 
 
-class TableOracle(ValuationOracle):
+class TableOracle(ScaledOracle):
     """Explicit table of values, one per subset; used by synthesized instances."""
 
     kind = "table"
@@ -295,8 +333,8 @@ class TableOracle(ValuationOracle):
             raise InputError("table oracle must map the empty set to 0")
         self._den, self._nums = _scaled(values)
 
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(self._nums[mask], self._den)
+    def _value_num(self, mask: int) -> int:
+        return self._nums[mask]
 
     def to_params(self) -> dict:
         return {

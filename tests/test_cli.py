@@ -10,6 +10,7 @@ import infogreedy.bounds as bounds_mod
 import infogreedy.lp as lp_mod
 import infogreedy.serialize as serialize_mod
 from infogreedy.cli import main
+from infogreedy.design import DESIGN_GUARD
 from infogreedy.greedy import DEPTH_GUARD
 from infogreedy.lp import independence_lp
 from infogreedy.serialize import AGENT_GUARD, parse_graph
@@ -128,6 +129,23 @@ class TestDesignAndCurve:
         assert table[44].split(",")[1:4] == ["1", "2", "2"]
         assert table[44].endswith("clique_minus_edge")
 
+    @pytest.mark.parametrize("argv", [
+        ("curve", "--n", "100000"),
+        ("design", "--n", "100000", "--m", "5"),
+        ("design", "--n", "100000000", "--m", "5", "--format", "json"),
+    ])
+    def test_agent_count_guard(self, capsys, argv):
+        start = time.perf_counter()
+        assert main(list(argv)) == 3
+        assert time.perf_counter() - start < 0.5
+        out, err = capsys.readouterr()
+        assert out == "" and f"design guard {DESIGN_GUARD}" in err
+
+    @pytest.mark.parametrize("n, code", [(DESIGN_GUARD, 0), (DESIGN_GUARD + 1, 3)])
+    def test_agent_count_guard_boundary(self, capsys, n, code):
+        assert DESIGN_GUARD > 69  # the largest n the benchmark asks for
+        assert main(["design", "--n", str(n), "--m", "0", "--format", "json"]) == code
+
 
 class TestWorstCase:
     def test_emits_certified_instances(self, capsys):
@@ -145,6 +163,12 @@ class TestWorstCase:
         assert obj["upper_bound_instance"]["realized_gamma"] == "2/5"
         assert obj["sibling_instance"]["realized_gamma"] == "1/3"
         assert obj["adversarial_probe"]["min_gamma"] == "1/3"
+
+    def test_negative_budget_is_input_error(self, capsys):
+        argv = ["worst-case", "--graph", str(FIXTURES / "crossed_seven_cycle.json")]
+        assert main(argv + ["--budget", "-3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "budget must be nonnegative" in err
 
     def test_crossed_seven_cycle_takes_the_padded_path(self, capsys):
         code, out = run(

@@ -481,7 +481,7 @@ def float_tokens(path: Path) -> list[str]:
 
 
 class TestFloatFree:
-    @pytest.mark.parametrize("module", ["graphs.py", "lp.py", "oracles.py"])
+    @pytest.mark.parametrize("module", ["graphs.py", "greedy.py", "lp.py", "oracles.py"])
     def test_kernel_has_no_float(self, module):
         assert float_tokens(SRC / module) == []
 
