@@ -37,14 +37,11 @@ from .errors import (
     UnboundedLpError,
 )
 from .graphs import (
-    CliqueMatrix,
     ExactNumbers,
     GraphAnalysis,
     InfoGraph,
     SiblingVerdict,
     analyze_graph,
-    build_graph,
-    clique_matrix,
     complete_graph,
     edgeless_graph,
     exact_numbers,
@@ -57,7 +54,6 @@ from .greedy import (
     GreedyOutcome,
     OptResult,
     brute_force_opt,
-    clique_marginal_identity_check,
     efficiency,
     run_generalized_greedy,
 )

@@ -32,7 +32,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import AdmissibilityError, GuardRefusal, InputError, InternalConsistencyError
 
 EXACT_GUARD = 16
-CLIQUE_ROW_GUARD = 10000
 # A graph on n <= 16 agents has at most 324 maximal cliques (Moon & Moser,
 # 1965), so neither the exact numbers nor the complement path ever refuse.
 MAXIMAL_CLIQUE_GUARD = 10000
@@ -109,20 +108,12 @@ class InfoGraph:
         return f"InfoGraph(n={self.n}, edges={self.sorted_edges()})"
 
 
-def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> InfoGraph:
-    return InfoGraph(n, edges)
-
-
 def complete_graph(n: int) -> InfoGraph:
     return InfoGraph(n, [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)])
 
 
 def edgeless_graph(n: int) -> InfoGraph:
     return InfoGraph(n, [])
-
-
-def is_complete(g: InfoGraph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
 
 
 def _vertices(mask: int) -> frozenset[int]:
@@ -208,43 +199,6 @@ def maximal_cliques(g: InfoGraph) -> list[frozenset[int]]:
     return list(_cliques(g))
 
 
-def all_clique_masks(g: InfoGraph, guard: int = CLIQUE_ROW_GUARD) -> list[int]:
-    """Every nonempty clique as a bitmask; refuses past the row guard."""
-    out: list[int] = []
-
-    def grow(clique: int, candidates: int):
-        while candidates:
-            v = candidates & -candidates
-            candidates &= candidates - 1
-            ext = clique | v
-            out.append(ext)
-            if len(out) > guard:
-                raise GuardRefusal(
-                    f"more than {guard} cliques; use the maximal-clique LP path"
-                )
-            grow(ext, candidates & g.adj_masks[v.bit_length()])
-
-    grow(0, (1 << g.n) - 1)
-    return out
-
-
-@dataclass(frozen=True)
-class CliqueMatrix:
-    """Binary clique-membership matrix, one row per clique (singletons included)."""
-
-    rows: tuple[tuple[int, ...], ...]
-    cliques: tuple[frozenset[int], ...]
-
-
-def clique_matrix(g: InfoGraph, guard: int = CLIQUE_ROW_GUARD) -> CliqueMatrix:
-    masks = all_clique_masks(g, guard)
-    cliques = sorted((_vertices(m) for m in masks), key=lambda c: (len(c), sorted(c)))
-    rows = tuple(
-        tuple(1 if v in c else 0 for v in range(1, g.n + 1)) for c in cliques
-    )
-    return CliqueMatrix(rows, tuple(cliques))
-
-
 # ---------------------------------------------------------------------------
 # Independence number, clique cover, clique number
 # ---------------------------------------------------------------------------
@@ -273,23 +227,25 @@ def _max_independent_masks(g: InfoGraph) -> tuple[int, list[int]]:
 
 
 def _min_clique_cover(g: InfoGraph) -> int:
-    """Exact minimum clique cover via subset DP over maximal cliques.
+    """Exact minimum clique cover via subset DP over the graph's maximal cliques.
 
     Some optimal cover has its block through the lowest uncovered vertex equal
-    to a clique maximal within the remaining vertices, so only those blocks
-    are branched on.
+    to a clique maximal within the remaining vertices.  Each such clique is
+    the restriction ``c & mask`` of a maximal clique ``c`` of the whole graph
+    (any maximal clique containing it), and every restriction is a clique, so
+    branching on the restrictions through that vertex reaches the same
+    minimum without enumerating cliques per subset.
     """
+    cliques = [_mask(c) for c in _cliques(g)]
     memo = {0: 0}
 
     def solve(mask: int) -> int:
         got = memo.get(mask)
         if got is not None:
             return got
-        v = (mask & -mask).bit_length()
+        low = mask & -mask
         best = None
-        for c in _maximal_clique_masks(g.adj_masks, mask):
-            if not c >> (v - 1) & 1:
-                continue
+        for c in {c & mask for c in cliques if c & low}:
             sub = 1 + solve(mask & ~c)
             if best is None or sub < best:
                 best = sub

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateInstanceError, GuardRefusal, InputError
-from .graphs import InfoGraph, is_complete
+from .graphs import InfoGraph
 from .oracles import Instance, mask_of
 
 BRANCH_GUARD = 10 ** 6
@@ -287,31 +287,3 @@ def efficiency(
         opt_profile=opt.profile,
         sol_profile=tuple(acts[idx] for acts, idx in zip(inst.actions, choice_idx)),
     )
-
-
-def clique_marginal_identity_check(
-    inst: Instance, g: InfoGraph, samples: int = 100, seed: int = 0
-) -> bool:
-    """On a complete graph, marginals along the agent order telescope to f(x).
-
-    Samples random profiles with a seeded generator and verifies
-    sum_i [f(x_1..x_i) - f(x_1..x_{i-1})] = f(x) exactly for each.
-    """
-    if not is_complete(g):
-        raise InputError("identity check requires the complete information graph")
-    if g.n != inst.n:
-        raise InputError(f"graph has {g.n} agents but instance has {inst.n}")
-    oracle = inst.oracle
-    masks = inst.action_masks()
-    rng = random.Random(seed)
-    for _ in range(samples):
-        picks = [rng.randrange(len(m)) for m in masks]
-        prefix = 0
-        total = Fraction(0)
-        for i in range(inst.n):
-            a = masks[i][picks[i]]
-            total += oracle.value_mask(prefix | a) - oracle.value_mask(prefix)
-            prefix |= a
-        if total != oracle.value_mask(prefix):
-            return False
-    return True

@@ -93,14 +93,6 @@ class LpSolution:
     certificate: dict
 
 
-def dump_tableau(lp: LinearProgram) -> str:
-    """Plain-text tableau for debugging."""
-    lines = [f"{lp.sense} {' '.join(str(c) for c in lp.objective)}"]
-    for row, b in zip(lp.rows, lp.rhs):
-        lines.append(f"  {' '.join(str(a) for a in row)} <= {b}")
-    return "\n".join(lines) + "\n"
-
-
 def _eliminate(row: list[int], prow: list[int], p: int, d: int, c: int) -> list[int]:
     """One row of an integer-preserving pivot from denominator d to p > 0.
 
@@ -346,7 +338,7 @@ def independence_lp(g: InfoGraph) -> LinearProgram:
 
     Every clique row is dominated by a maximal superset's row when z >= 0, so
     restricting to maximal cliques leaves the optimum unchanged while keeping
-    the tableau small.  ``clique_matrix`` still exposes the full matrix.
+    the tableau small.
     """
     rows = _clique_rows(g)
     return LinearProgram.build(

@@ -3,26 +3,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from functools import lru_cache
 
 import pytest
 
-from infogreedy import InfoGraph, build_wsc, make_instance
+from infogreedy import GuardRefusal, InfoGraph, build_wsc, make_instance
+from infogreedy.graphs import _vertices
 
 
 def all_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-
-
-@lru_cache(maxsize=None)
-def all_graphs(n: int) -> tuple[InfoGraph, ...]:
-    """Every admissible graph on n labeled agents (direction is forced by order)."""
-    pairs = all_pairs(n)
-    out = []
-    for bits in range(1 << len(pairs)):
-        edges = [pairs[i] for i in range(len(pairs)) if bits >> i & 1]
-        out.append(InfoGraph(n, edges))
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -64,6 +55,47 @@ def unlabeled_classes(n: int) -> tuple[InfoGraph, ...]:
         edges = [pairs[i] for i in range(len(pairs)) if mask >> i & 1]
         out.append(InfoGraph(n, edges))
     return tuple(out)
+
+
+CLIQUE_ROW_GUARD = 10000
+
+
+def all_clique_masks(g: InfoGraph, guard: int = CLIQUE_ROW_GUARD) -> list[int]:
+    """Every nonempty clique as a bitmask; refuses past the row guard."""
+    out: list[int] = []
+
+    def grow(clique: int, candidates: int):
+        while candidates:
+            v = candidates & -candidates
+            candidates &= candidates - 1
+            ext = clique | v
+            out.append(ext)
+            if len(out) > guard:
+                raise GuardRefusal(
+                    f"more than {guard} cliques; use the maximal-clique LP path"
+                )
+            grow(ext, candidates & g.adj_masks[v.bit_length()])
+
+    grow(0, (1 << g.n) - 1)
+    return out
+
+
+@dataclass(frozen=True)
+class CliqueMatrix:
+    """Binary clique-membership matrix, one row per clique (singletons included)."""
+
+    rows: tuple[tuple[int, ...], ...]
+    cliques: tuple[frozenset[int], ...]
+
+
+def clique_matrix(g: InfoGraph, guard: int = CLIQUE_ROW_GUARD) -> CliqueMatrix:
+    """The full clique matrix: the reference for the maximal-clique LP rows."""
+    masks = all_clique_masks(g, guard)
+    cliques = sorted((_vertices(m) for m in masks), key=lambda c: (len(c), sorted(c)))
+    rows = tuple(
+        tuple(1 if v in c else 0 for v in range(1, g.n + 1)) for c in cliques
+    )
+    return CliqueMatrix(rows, tuple(cliques))
 
 
 def random_graph(rng: random.Random, n: int, p: float | None = None) -> InfoGraph:

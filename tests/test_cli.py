@@ -9,13 +9,15 @@ import pytest
 import infogreedy.bounds as bounds_mod
 import infogreedy.lp as lp_mod
 import infogreedy.serialize as serialize_mod
+import infogreedy.verify as verify_mod
 from infogreedy.cli import main
 from infogreedy.design import DESIGN_GUARD
 from infogreedy.greedy import DEPTH_GUARD
 from infogreedy.lp import independence_lp
 from infogreedy.serialize import AGENT_GUARD, parse_graph
 
-FIXTURES = Path(__file__).resolve().parent.parent / "src" / "infogreedy" / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "src" / "infogreedy" / "fixtures"
 GRAPH_FIXTURES = (
     "demo_cover_graph.json", "five_cycle.json", "k4_minus_edge.json", "single_edge_trio.json",
 )
@@ -217,11 +219,54 @@ class TestAudit:
         assert out.count("pass") == 3
 
 
+VERIFY_LINES = [
+    "PASS  demo cover: optimal 9, full greedy 8, constrained greedy 6, ratio 2/3 (got 9/8/6/2/3)",
+    "PASS  near-clique quartet: alpha=k=2, omega=3, a*=2, bracket [1/3, 1/2], probe floor 1/2 "
+    "(got min 1/2)",
+    "PASS  five-cycle: alpha=2, k=3, a*=5/2 at the all-halves vertex, sibling with observer 3, "
+    "certificates 2/5 and 1/3",
+    "PASS  pile-up trio: optimum 3, worst tie chain 1, ratio 1/3 meets the lower bound (got 1/3)",
+    "PASS  duality sweep: alpha <= a* = k* <= k on 120 seeded graphs",
+    "PASS  duality chain exact on all 1099 admissible graphs with n <= 5",
+    "PASS  floor sweep: ratio >= 1/(a*+1) constrained and >= 1/2 with full information on 120 "
+    "seeded instances",
+    "PASS  designs: closed-form edge counts up to n=30, the 10-agent curve plateaus at 1/4 on "
+    "12..19 and ends at 1/2, no-sibling witnesses up to n=10 check out",
+    "PASS  design optimality: no graph with n <= 4 certifies above the emitted design at any "
+    "budget",
+    "PASS  certificates: 40 seeded upper-bound instances realize 1/a* exactly and audit as "
+    "submodular",
+    "10/10 checks passed",
+]
+
+
 class TestVerify:
     def test_full_verify_green(self, capsys):
         code, out = run(capsys, "verify")
         assert code == 0
-        assert "FAIL" not in out
+        assert out.splitlines() == VERIFY_LINES
+
+    def test_a_failing_check_prints_fail_and_exits_4(self, monkeypatch, capsys):
+        # the demo cover read on the near-clique quartet instead of its own graph
+        original = verify_mod._fixture
+        monkeypatch.setattr(verify_mod, "_fixture", lambda name, parse: original(
+            "k4_minus_edge.json" if name == "demo_cover_graph.json" else name, parse))
+        code, out = run(capsys, "verify")
+        assert code == 4
+        assert out.splitlines() == [
+            "FAIL  demo cover: constrained greedy 7 (want 6), ratio 7/9 (want 2/3)",
+            *VERIFY_LINES[1:10],
+            "9/10 checks passed",
+        ]
+
+    def test_check_names_match_the_benchmark_metrics(self):
+        # bench/tracer.py names its verify.<name>.s metrics after these entries
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        metrics = [
+            m["name"][len("verify."):-len(".s")] for m in spec["per_layer"]
+            if m["name"].startswith("verify.") and m["name"].endswith(".s")
+        ]
+        assert metrics == [fn.__name__.removeprefix("_check_") for fn in verify_mod.CHECKS]
 
 
 def _count_solves(monkeypatch) -> list:

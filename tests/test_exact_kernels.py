@@ -35,6 +35,7 @@ from infogreedy import (
     verify_certificate,
 )
 import infogreedy.lp as lp_mod
+from infogreedy import verify
 from infogreedy.lp import cover_lp, independence_lp
 from infogreedy.oracles import AuditReport, set_of
 from conftest import random_graph, unlabeled_classes
@@ -439,18 +440,7 @@ class TestAuditDifferential:
 
     def test_verify_certificate_oracles_match_the_fraction_reference(self):
         # the 40 seeded upper-bound instances of the verify certificates check
-        rng = random.Random(99)
-        for _ in range(40):
-            n = rng.randint(1, 6)
-            g = InfoGraph(
-                n,
-                [
-                    (i, j)
-                    for i in range(1, n + 1)
-                    for j in range(i + 1, n + 1)
-                    if rng.random() < rng.choice((0.3, 0.6))
-                ],
-            )
+        for g in verify._seeded_graphs(99, 40, (0.3, 0.6)):
             oracle = upper_bound_instance(g).instance.oracle
             report = audit_properties(oracle)
             assert report.ok and report == reference_audit(oracle)

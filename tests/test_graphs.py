@@ -9,8 +9,7 @@ from infogreedy import (
     AdmissibilityError,
     GuardRefusal,
     InputError,
-    build_graph,
-    clique_matrix,
+    InfoGraph,
     complete_graph,
     edgeless_graph,
     exact_numbers,
@@ -18,7 +17,8 @@ from infogreedy import (
     sibling_property,
     to_dot,
 )
-from conftest import all_graphs, random_graph
+from infogreedy.verify import labelled_graphs
+from conftest import clique_matrix, random_graph
 
 K4_MINUS_EDGE = [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)]
 FIVE_CYCLE = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
@@ -26,34 +26,34 @@ FIVE_CYCLE = [(1, 2), (2, 3), (3, 4), (4, 5), (1, 5)]
 
 class TestConstruction:
     def test_accepts_admissible_edges(self):
-        g = build_graph(4, K4_MINUS_EDGE)
+        g = InfoGraph(4, K4_MINUS_EDGE)
         assert g.m == 5
         assert g.in_neighbors(3) == {1, 2}
         assert g.in_neighbors(1) == frozenset()
 
     def test_rejects_backward_edge(self):
         with pytest.raises(AdmissibilityError):
-            build_graph(3, [(2, 1)])
+            InfoGraph(3, [(2, 1)])
 
     def test_rejects_self_loop(self):
         with pytest.raises(AdmissibilityError):
-            build_graph(3, [(2, 2)])
+            InfoGraph(3, [(2, 2)])
 
     def test_rejects_out_of_range_vertex(self):
         with pytest.raises(InputError):
-            build_graph(3, [(1, 7)])
+            InfoGraph(3, [(1, 7)])
 
     def test_duplicate_edges_collapse(self):
-        assert build_graph(3, [(1, 2), (1, 2)]).m == 1
+        assert InfoGraph(3, [(1, 2), (1, 2)]).m == 1
 
     def test_first_agent_never_observes(self):
-        for g in all_graphs(4):
+        for g in labelled_graphs(4):
             assert g.in_neighbors(1) == frozenset()
 
 
 class TestMaximalCliques:
     def test_near_clique_quartet(self):
-        got = maximal_cliques(build_graph(4, K4_MINUS_EDGE))
+        got = maximal_cliques(InfoGraph(4, K4_MINUS_EDGE))
         assert got == [frozenset({1, 2, 3}), frozenset({1, 2, 4})]
 
     def test_edgeless_gives_singletons(self):
@@ -62,7 +62,7 @@ class TestMaximalCliques:
         ]
 
     def test_five_cycle_gives_its_edges(self):
-        got = maximal_cliques(build_graph(5, FIVE_CYCLE))
+        got = maximal_cliques(InfoGraph(5, FIVE_CYCLE))
         assert got == sorted(
             (frozenset(e) for e in FIVE_CYCLE), key=lambda c: (len(c), sorted(c))
         )
@@ -87,14 +87,14 @@ class TestMaximalCliques:
 
 class TestCliqueMatrix:
     def test_near_clique_quartet_has_eleven_rows(self):
-        mat = clique_matrix(build_graph(4, K4_MINUS_EDGE))
+        mat = clique_matrix(InfoGraph(4, K4_MINUS_EDGE))
         assert len(mat.rows) == 11
         assert mat.cliques[0] == frozenset({1})
         assert mat.cliques[-1] == frozenset({1, 2, 4})
         assert mat.rows[-1] == (1, 1, 0, 1)
 
     def test_single_node(self):
-        mat = clique_matrix(build_graph(1, []))
+        mat = clique_matrix(InfoGraph(1, []))
         assert mat.rows == ((1,),)
 
     def test_triangle_has_seven_rows(self):
@@ -115,12 +115,12 @@ class TestCliqueMatrix:
 
 class TestExactNumbers:
     def test_near_clique_quartet(self):
-        nums = exact_numbers(build_graph(4, K4_MINUS_EDGE))
+        nums = exact_numbers(InfoGraph(4, K4_MINUS_EDGE))
         assert (nums.alpha, nums.k, nums.omega) == (2, 2, 3)
         assert nums.max_independent_sets == (frozenset({3, 4}),)
 
     def test_five_cycle(self):
-        nums = exact_numbers(build_graph(5, FIVE_CYCLE))
+        nums = exact_numbers(InfoGraph(5, FIVE_CYCLE))
         assert (nums.alpha, nums.k) == (2, 3)
         assert len(nums.max_independent_sets) == 5
 
@@ -157,15 +157,15 @@ class TestExactNumbers:
 
 class TestSiblingProperty:
     def test_five_cycle_has_it_with_documented_witness(self):
-        verdict = sibling_property(build_graph(5, FIVE_CYCLE))
+        verdict = sibling_property(InfoGraph(5, FIVE_CYCLE))
         assert verdict.has_property
         assert (frozenset({2, 4}), 2, 3) in verdict.witnesses
         for jset, i, w in verdict.witnesses:
-            g = build_graph(5, FIVE_CYCLE)
+            g = InfoGraph(5, FIVE_CYCLE)
             assert i in jset and w not in jset and i in g.in_neighbors(w)
 
     def test_near_clique_quartet_lacks_it(self):
-        verdict = sibling_property(build_graph(4, K4_MINUS_EDGE))
+        verdict = sibling_property(InfoGraph(4, K4_MINUS_EDGE))
         assert not verdict.has_property
         assert verdict.audit["unique_maximum"]
         assert verdict.audit["contains_last_two"]
@@ -178,24 +178,24 @@ class TestSiblingProperty:
     def test_star_direction_matters(self):
         # center first: both leaves observe only the center, no leaf is
         # observed from outside the unique maximum independent set
-        assert not sibling_property(build_graph(3, [(1, 2), (1, 3)])).has_property
+        assert not sibling_property(InfoGraph(3, [(1, 2), (1, 3)])).has_property
         # center last: it observes both leaves
-        assert sibling_property(build_graph(3, [(1, 3), (2, 3)])).has_property
+        assert sibling_property(InfoGraph(3, [(1, 3), (2, 3)])).has_property
 
     def test_path_has_it(self):
-        assert sibling_property(build_graph(3, [(1, 2), (2, 3)])).has_property
+        assert sibling_property(InfoGraph(3, [(1, 2), (2, 3)])).has_property
 
     def test_structural_audit_never_fails_exhaustively(self):
         # sibling_property raises InternalConsistencyError if a non-sibling
         # graph violates its four structural consequences; sweep everything
         for n in range(1, 6):
-            for g in all_graphs(n):
+            for g in labelled_graphs(n):
                 sibling_property(g)
 
 
 class TestDot:
     def test_contains_edges_and_nodes(self):
-        text = to_dot(build_graph(3, [(1, 3)]))
+        text = to_dot(InfoGraph(3, [(1, 3)]))
         assert "1 -> 3;" in text and "2;" in text
 
     def test_clusters(self):
@@ -219,7 +219,7 @@ class TestStoredFacts:
     def test_each_fact_is_computed_once_per_graph(self, monkeypatch):
         searches = _count_calls(monkeypatch, graphs_mod, "_max_independent_masks")
         enumerations = _count_calls(monkeypatch, graphs_mod, "_find_maximal_cliques")
-        g = build_graph(5, FIVE_CYCLE)
+        g = InfoGraph(5, FIVE_CYCLE)
         first = (exact_numbers(g), sibling_property(g), maximal_cliques(g))
         for _ in range(3):
             assert (exact_numbers(g), sibling_property(g), maximal_cliques(g)) == first
@@ -227,13 +227,13 @@ class TestStoredFacts:
 
     def test_equal_graphs_do_not_share_facts(self, monkeypatch):
         searches = _count_calls(monkeypatch, graphs_mod, "_max_independent_masks")
-        g1, g2 = build_graph(4, K4_MINUS_EDGE), build_graph(4, K4_MINUS_EDGE)
+        g1, g2 = InfoGraph(4, K4_MINUS_EDGE), InfoGraph(4, K4_MINUS_EDGE)
         assert g1 == g2 and hash(g1) == hash(g2) and g1 is not g2
         assert exact_numbers(g1) == exact_numbers(g2)
         assert len(searches) == 2
 
     def test_mutating_returned_cliques_leaves_the_graph_alone(self):
-        g = build_graph(4, K4_MINUS_EDGE)
+        g = InfoGraph(4, K4_MINUS_EDGE)
         got = maximal_cliques(g)
         got.append(frozenset({4}))
         got.pop(0)
@@ -241,13 +241,13 @@ class TestStoredFacts:
         assert exact_numbers(g).omega == 3
 
     def test_sibling_audit_is_read_only(self):
-        verdict = sibling_property(build_graph(4, K4_MINUS_EDGE))
+        verdict = sibling_property(InfoGraph(4, K4_MINUS_EDGE))
         with pytest.raises(TypeError):
             verdict.audit["unique_maximum"] = False
         assert verdict.audit["unique_maximum"]
 
     def test_guard_is_checked_before_the_stored_value(self):
-        g = build_graph(5, FIVE_CYCLE)
+        g = InfoGraph(5, FIVE_CYCLE)
         exact_numbers(g)
         sibling_property(g)
         with pytest.raises(GuardRefusal):

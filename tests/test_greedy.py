@@ -10,9 +10,9 @@ from infogreedy import (
     GuardRefusal,
     InfoGraph,
     InputError,
+    Instance,
     brute_force_opt,
     build_wsc,
-    clique_marginal_identity_check,
     complete_graph,
     efficiency,
     make_instance,
@@ -179,6 +179,34 @@ class TestEfficiency:
             except DegenerateInstanceError:
                 continue
             assert rep.gamma >= F(1, 2)
+
+
+def clique_marginal_identity_check(
+    inst: Instance, g: InfoGraph, samples: int = 100, seed: int = 0
+) -> bool:
+    """On a complete graph, marginals along the agent order telescope to f(x).
+
+    Samples random profiles with a seeded generator and verifies
+    sum_i [f(x_1..x_i) - f(x_1..x_{i-1})] = f(x) exactly for each.
+    """
+    if g.m != g.n * (g.n - 1) // 2:
+        raise InputError("identity check requires the complete information graph")
+    if g.n != inst.n:
+        raise InputError(f"graph has {g.n} agents but instance has {inst.n}")
+    oracle = inst.oracle
+    masks = inst.action_masks()
+    rng = random.Random(seed)
+    for _ in range(samples):
+        picks = [rng.randrange(len(m)) for m in masks]
+        prefix = 0
+        total = Fraction(0)
+        for i in range(inst.n):
+            a = masks[i][picks[i]]
+            total += oracle.value_mask(prefix | a) - oracle.value_mask(prefix)
+            prefix |= a
+        if total != oracle.value_mask(prefix):
+            return False
+    return True
 
 
 class TestCliqueIdentity:

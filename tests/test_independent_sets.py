@@ -1,8 +1,10 @@
 """Maximum independent sets from complement cliques, checked two ways.
 
 ``exact_numbers`` lists the maximum independent sets of a graph as the
-largest maximal cliques of its complement.  The subset scan it replaced is
-kept below as a reference and must give identical ``ExactNumbers``; networkx
+largest maximal cliques of its complement, and finds the minimum clique
+cover by branching on the graph's own maximal cliques.  The subset scan and
+the per-subset clique DP they replaced are kept below as references and
+must give identical ``ExactNumbers``; networkx
 (an optional test dependency) independently lists maximal cliques of the
 graph and of its complement.
 """
@@ -70,7 +72,7 @@ def large_graphs() -> list[InfoGraph]:
 
 
 # ---------------------------------------------------------------------------
-# The subset scan the complement path replaced
+# The subset scan and the per-subset clique DP the library replaced
 # ---------------------------------------------------------------------------
 
 
@@ -97,12 +99,36 @@ def reference_max_independent_masks(g: InfoGraph) -> tuple[int, list[int]]:
     return best, sets
 
 
+def reference_min_clique_cover(g: InfoGraph) -> int:
+    """Minimum clique cover by a subset DP that enumerates, for every subset
+    it visits, the cliques maximal within it and branches on those through
+    its lowest vertex."""
+    memo = {0: 0}
+
+    def solve(mask: int) -> int:
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        v = (mask & -mask).bit_length()
+        best = None
+        for c in graphs_mod._maximal_clique_masks(g.adj_masks, mask):
+            if not c >> (v - 1) & 1:
+                continue
+            sub = 1 + solve(mask & ~c)
+            if best is None or sub < best:
+                best = sub
+        memo[mask] = best
+        return best
+
+    return solve((1 << g.n) - 1)
+
+
 def reference_exact_numbers(g: InfoGraph) -> ExactNumbers:
     if g.n == 0:
         return ExactNumbers(0, 0, 0, (frozenset(),))
     alpha, masks = reference_max_independent_masks(g)
     sets = tuple(sorted((graphs_mod._vertices(m) for m in masks), key=sorted))
-    k = graphs_mod._min_clique_cover(g)
+    k = reference_min_clique_cover(g)
     omega = max(len(c) for c in maximal_cliques(g))
     return ExactNumbers(alpha, k, omega, sets)
 

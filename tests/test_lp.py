@@ -20,7 +20,7 @@ from infogreedy import (
     verify_certificate,
 )
 from infogreedy.lp import cover_lp, independence_lp
-from conftest import random_graph, unlabeled_classes
+from conftest import clique_matrix, random_graph, unlabeled_classes
 
 F = Fraction
 
@@ -63,13 +63,6 @@ class TestSolver:
             "max",
         )
         assert solve_lp(lp).optimum == F(1, 20)
-
-    def test_tableau_dump(self):
-        from infogreedy.lp import dump_tableau
-
-        lp = LinearProgram.build([1, 2], [[1, 1]], ["<="], [3], "max")
-        text = dump_tableau(lp)
-        assert text == "max 1 2\n  1 1 <= 3\n"
 
     def test_certificates_reverify(self, rng):
         for _ in range(60):
@@ -144,8 +137,6 @@ class TestCliqueRelaxations:
 
     def test_maximal_clique_reduction_matches_full_matrix(self):
         # restricting rows to maximal cliques must not change the optimum
-        from infogreedy import clique_matrix
-
         for n in range(1, 7):
             for g in unlabeled_classes(n):
                 mat = clique_matrix(g)
