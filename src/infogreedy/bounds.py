@@ -12,8 +12,11 @@ everyone to the shared side.  The plain capped sum realizes this only when
 every positive-weight agent fits under the cap together with its whole
 in-neighborhood; otherwise (fractional LP optimum, smallest case an induced
 5-cycle) a valid u-block table is synthesized by exact interval propagation
-over all submodularity constraints.  Either way the returned instance is
-certified by actually running the greedy engine.
+over all submodularity constraints, on integer numerators over the lcm of
+the weights' denominators.  Either way the returned instance is certified
+by actually running the greedy engine.  The probe solves each draw on
+action masks and integers and builds an ``Instance`` only for a new
+minimum.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .errors import (
     DegenerateInstanceError,
@@ -31,7 +35,13 @@ from .errors import (
     InternalConsistencyError,
 )
 from .graphs import InfoGraph, _mask, _out_mask, exact_numbers, sibling_property
-from .greedy import EfficiencyReport, efficiency
+from .greedy import (
+    BRANCH_GUARD,
+    PROFILE_GUARD,
+    EfficiencyReport,
+    _efficiency_core,
+    efficiency,
+)
 from .lp import alpha_star, alpha_star_solution
 from .oracles import (
     Instance,
@@ -260,14 +270,20 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
     - every pass that changes anything moves at least one of the 2^(n+1)
       bounds by at least 1/D, so at most 2^(n+1) * D passes change
       something before a pass that changes nothing ends the loop.
+
+    Since every bound is a multiple of 1/D, the propagation and the
+    validation run on the integer numerators over D, and the table's
+    Fractions are built once, at the end.
     """
     n = g.n
     if n > SYNTHESIS_GUARD:
         raise GuardRefusal(f"table synthesis guarded at n <= {SYNTHESIS_GUARD}")
     full = (1 << n) - 1
+    den = lcm(*(x.denominator for x in w))
+    w = [x.numerator * (den // x.denominator) for x in w]
 
-    def wsum(mask: int) -> Fraction:
-        total = ZERO
+    def wsum(mask: int) -> int:
+        total = 0
         m = mask
         while m:
             total += w[(m & -m).bit_length() - 1]
@@ -275,7 +291,7 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
         return total
 
     # exact ties g(A | i) - g(A) = w_i for A inside the in-neighborhood of i
-    ties: list[tuple[int, int, Fraction]] = []
+    ties: list[tuple[int, int, int]] = []
     for i in range(1, n + 1):
         nbr = g.in_masks[i]
         sub = nbr
@@ -285,12 +301,12 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
                 break
             sub = (sub - 1) & nbr
 
-    lo = [ZERO] * (1 << n)
-    hi = [min(ONE, wsum(m)) for m in range(1 << n)]
-    lo[full] = hi[full] = ONE
+    lo = [0] * (1 << n)
+    hi = [min(den, wsum(m)) for m in range(1 << n)]
+    lo[full] = hi[full] = den
     for i in range(n):
         lo[1 << i] = hi[1 << i] = w[i]
-    lo[0] = hi[0] = ZERO
+    lo[0] = hi[0] = 0
 
     singles = [1 << i for i in range(n)]
     changed = True
@@ -342,17 +358,18 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
                 "no shared-capacity table satisfies the tie requirements"
             )
 
-    table = {mask: hi[mask] for mask in range(1 << n)}
-    if not _table_valid(n, w, ties, table):
+    if not _table_valid(n, w, den, ties, hi):
         raise InternalConsistencyError(
             "propagated table is neither valid nor provably infeasible"
         )
-    return table
+    return {mask: Fraction(hi[mask], den) for mask in range(1 << n)}
 
 
-def _table_valid(n, w, ties, table) -> bool:
+def _table_valid(n, w, den, ties, table) -> bool:
+    """Is ``table`` (numerators over ``den``, indexed by mask) a valid u-block
+    table for the weight numerators ``w`` and the tie triples ``ties``?"""
     full = (1 << n) - 1
-    if table[0] != 0 or table[full] != 1:
+    if table[0] != 0 or table[full] != den:
         return False
     for i in range(n):
         if table[1 << i] != w[i]:
@@ -463,24 +480,28 @@ def adversarial_search(g: InfoGraph, budget: int = 2000, seed: int = 0) -> Searc
     rng = random.Random(seed)
     floor = efficiency_bounds(g).lower
 
-    best: tuple[Fraction, Instance] | None = None
+    best: Fraction | None = None
+    witness: Instance | None = None
     evaluated = 0
 
-    def consider(inst: Instance, gamma: Fraction):
-        nonlocal best, evaluated
+    def consider(sol, opt, build):
+        """Count gamma = sol / opt (opt > 0), compared by cross-multiplying;
+        ``build()`` gives the witness and runs only for a new minimum."""
+        nonlocal best, witness, evaluated
         evaluated += 1
-        if gamma < floor:
+        if sol * floor.denominator < floor.numerator * opt:
             raise InternalConsistencyError(
-                f"observed efficiency {gamma} below the proven floor {floor}"
+                f"observed efficiency {Fraction(sol, opt)} below the proven floor {floor}"
             )
-        if best is None or gamma < best[0]:
-            best = (gamma, inst)
+        if best is None or sol * best.denominator < best.numerator * opt:
+            best, witness = Fraction(sol, opt), build()
 
-    cert = upper_bound_instance(g)
-    consider(cert.instance, cert.realized.gamma)
+    certs = [upper_bound_instance(g)]
     if sibling_property(g):
-        sib = sibling_instance(g)
-        consider(sib.instance, sib.realized.gamma)
+        certs.append(sibling_instance(g))
+    for cert in certs:
+        gamma = cert.realized.gamma
+        consider(gamma.numerator, gamma.denominator, lambda: cert.instance)
 
     n = g.n
     for _ in range(budget):
@@ -489,22 +510,32 @@ def adversarial_search(g: InfoGraph, budget: int = 2000, seed: int = 0) -> Searc
         if not any(values):
             values[rng.randrange(n_targets)] = 1
         actions = []
+        masks = []
         for _ in range(n):
             k = rng.randint(1, min(3, n_targets))
-            acts = set()
-            while len(acts) < k:
+            drawn = set()
+            while len(drawn) < k:
                 if rng.random() < 0.8:
-                    acts.add(frozenset([rng.randrange(n_targets)]))
+                    drawn.add((rng.randrange(n_targets),))
                 else:
-                    acts.add(
-                        frozenset(rng.sample(range(n_targets), min(2, n_targets)))
-                    )
-            actions.append(sorted(acts, key=sorted))
-        inst = make_instance(build_wsc(values), actions)
+                    drawn.add(tuple(sorted(
+                        rng.sample(range(n_targets), min(2, n_targets))
+                    )))
+            acts = sorted(drawn)
+            actions.append(acts)
+            masks.append([sum(1 << e for e in a) for a in acts])
+        oracle = build_wsc(values)
         try:
-            report = efficiency(inst, g)
+            opt_union, _, choice_idx = _efficiency_core(
+                oracle, masks, g, BRANCH_GUARD, PROFILE_GUARD
+            )
         except DegenerateInstanceError:
             continue  # actions only reach worthless targets; ratio undefined
-        consider(inst, report.gamma)
+        sol_union = 0
+        for acts, idx in zip(masks, choice_idx):
+            sol_union |= acts[idx]
+        # every drawn value is a nonnegative integer, so opt > 0 here
+        consider(oracle.value_num(sol_union), oracle.value_num(opt_union),
+                 lambda: make_instance(oracle, actions))
 
-    return SearchResult(best[0], best[1], evaluated)
+    return SearchResult(best, witness, evaluated)

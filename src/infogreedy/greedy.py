@@ -15,7 +15,9 @@ returned values, the marginals of a ``solve`` trace, and the ratio.
 
 The optimum is a dynamic program over action unions, exact for any set
 function, monotone or not.  ``efficiency`` reads only the worst choice
-vector, so it builds no per-agent trace.
+vector, so it builds no per-agent trace.  Both run on a private core over
+action masks, which the adversarial probe calls directly, so a probe draw
+needs no ``Instance``.
 """
 
 from __future__ import annotations
@@ -23,11 +25,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import DegenerateInstanceError, GuardRefusal, InputError
 from .graphs import InfoGraph
-from .oracles import Instance, mask_of
+from .oracles import Instance
 
 BRANCH_GUARD = 10 ** 6
 PROFILE_GUARD = 10 ** 7
@@ -99,7 +102,7 @@ def run_generalized_greedy(
     n = inst.n
 
     if policy == "worst":
-        choice_idx, explored = _worst_case_choices(inst, g, masks, max_branches)
+        choice_idx, explored = _worst_case_choices(oracle, n, g, masks, max_branches)
     else:
         rng = random.Random(seed)
         choice_idx = []
@@ -124,52 +127,65 @@ def _bits(mask: int):
         mask &= mask - 1
 
 
-def _worst_case_choices(inst, g, masks, max_branches) -> tuple[list[int], int]:
+def _tie_lists(g: InfoGraph):
+    """Per agent i: the agents it observes, and a getter of the choices of
+    the decided agents that it or some later agent still observes (None
+    when there are none), the part of the past the memo key keeps."""
+    observes: list[tuple[int, ...]] = [()] * (g.n + 1)
+    visible: list = [None] * (g.n + 1)
+    after = 0
+    for i in range(g.n, 0, -1):
+        after |= g.in_masks[i]
+        observes[i] = tuple(_bits(g.in_masks[i]))
+        decided = tuple(_bits(after & ((1 << (i - 1)) - 1)))
+        if decided:
+            visible[i] = itemgetter(*decided)
+    return observes, visible
+
+
+def _worst_case_choices(oracle, n, g, masks, max_branches) -> tuple[list[int], int]:
     """DFS over all argmax branches; returns the minimizing choice vector.
 
     State collapsing: the future depends only on the choices still observable
     by some later agent plus the running union of selections, so branches are
-    memoized on that pair.  The search recurses once per agent and refuses
-    more than DEPTH_GUARD agents before it starts.
+    memoized on that pair.  The search recurses once per agent but the last,
+    whose leaves it evaluates in its loop, and refuses more than DEPTH_GUARD
+    agents before it starts.
     """
-    oracle = inst.oracle
-    n = inst.n
     if n > DEPTH_GUARD:
         raise GuardRefusal(
             f"worst-case exploration guarded at {DEPTH_GUARD} agents, got {n}"
         )
-    # choices of agent j that some agent >= i still observes
-    visible_after: list[int] = [0] * (n + 2)
-    for i in range(n, 0, -1):
-        visible_after[i] = visible_after[i + 1] | g.in_masks[i]
-
+    observes, visible = g._fact("tie_lists", _tie_lists)
+    value_num = oracle.value_num
     memo: dict = {}
     counter = [0]
 
     def visit(i: int, chosen: tuple[int, ...], union: int):
-        if i > n:
-            counter[0] += 1
-            if counter[0] > max_branches:
-                raise GuardRefusal(
-                    f"worst-case exploration exceeded {max_branches} branches"
-                )
-            return oracle.value_num(union), ()
-        vis = visible_after[i] & ((1 << (i - 1)) - 1)  # decided and still observable
-        key = (i, tuple(chosen[j] for j in _bits(vis)), union)
+        pick = visible[i]
+        key = (i, pick(chosen) if pick else None, union)
         got = memo.get(key)
         if got is not None:
             return got
         observed = 0
-        for j_bit in _bits(g.in_masks[i]):
-            observed |= masks[j_bit][chosen[j_bit]]
-        tied = _argmax_actions(oracle, masks[i - 1], observed)
+        for j in observes[i]:
+            observed |= masks[j][chosen[j]]
+        acts = masks[i - 1]
+        values = [value_num(a | observed) for a in acts]
+        top = max(values)
         best_val, best_tail = None, None
-        for idx in tied:
-            val, tail = visit(
-                i + 1,
-                chosen + (idx,),
-                union | masks[i - 1][idx],
-            )
+        for idx, v in enumerate(values):
+            if v != top:
+                continue
+            if i == n:
+                counter[0] += 1
+                if counter[0] > max_branches:
+                    raise GuardRefusal(
+                        f"worst-case exploration exceeded {max_branches} branches"
+                    )
+                val, tail = value_num(union | acts[idx]), ()
+            else:
+                val, tail = visit(i + 1, chosen + (idx,), union | acts[idx])
             if best_val is None or val < best_val:
                 best_val, best_tail = val, (idx,) + tail
         memo[key] = (best_val, best_tail)
@@ -213,30 +229,39 @@ def brute_force_opt(inst: Instance, max_profiles: int = PROFILE_GUARD) -> OptRes
     """Exact maximum over the action-set product, first maximizer kept.
 
     ``f`` sees a profile only through the union of its actions, so this is
-    a dynamic program over unions, not a loop over profiles.  Walking the
-    agents in order, it keeps for each union that some prefix reaches the
-    lexicographically first such prefix of action indices: if two prefixes
-    reach the same union, so does every common extension, and the first
-    stays first, so the first profile of every final union is found.  Each
-    layer extends the previous one in its order, actions in listed order,
-    so unions stay in the lexicographic order of their prefixes.  ``f`` is
-    evaluated once per final union, and the first largest value wins: the
-    first maximizer in product order.  Nothing here assumes monotonicity or
+    a dynamic program over unions, not a loop over profiles (see
+    ``_union_optimum``).  Nothing here assumes monotonicity or
     submodularity, so the result is exact for any ``f``.  The product-size
     guard still refuses before any search.
     """
+    best, picks = _union_optimum(inst.oracle, inst.action_masks(), max_profiles)
+    profile = tuple(acts[idx] for acts, idx in zip(inst.actions, picks))
+    return OptResult(inst.oracle.value_mask(best), profile)
+
+
+def _union_optimum(oracle, masks, max_profiles) -> tuple[int, list[int]]:
+    """The first maximal final union and the first profile reaching it.
+
+    Walking the agents in order, the program keeps for each union that some
+    prefix reaches the lexicographically first such prefix of action
+    indices: if two prefixes reach the same union, so does every common
+    extension, and the first stays first, so the first profile of every
+    final union is found.  Each layer extends the previous one in its
+    order, actions in listed order, so unions stay in the lexicographic
+    order of their prefixes.  ``f`` is evaluated once per final union, and
+    the first largest value wins: the first maximizer in product order.
+    """
     total = 1
-    for acts in inst.actions:
+    for acts in masks:
         total *= len(acts)
         if total > max_profiles:
             raise GuardRefusal(
                 f"profile space exceeds brute-force guard {max_profiles}"
             )
-    oracle = inst.oracle
     # layers[i]: union after agents 1..i+1 -> (union after agents 1..i, action index)
     layers: list[dict[int, tuple[int, int]]] = []
     reached: dict = {0: None}
-    for acts in inst.action_masks():
+    for acts in masks:
         nxt: dict[int, tuple[int, int]] = {}
         for union in reached:
             for idx, a in enumerate(acts):
@@ -252,8 +277,26 @@ def brute_force_opt(inst: Instance, max_profiles: int = PROFILE_GUARD) -> OptRes
         union, idx = layer[union]
         picks.append(idx)
     picks.reverse()
-    profile = tuple(acts[idx] for acts, idx in zip(inst.actions, picks))
-    return OptResult(oracle.value_mask(best), profile)
+    return best, picks
+
+
+def _efficiency_core(oracle, masks, g, max_branches, max_profiles):
+    """The optimum's union, its profile's action indices and the worst
+    choice vector of an instance given as action masks.
+
+    The refusals come in a fixed order: the profile guard, a zero optimum,
+    a graph of the wrong size, then the tie engine's own guards.
+    """
+    opt_union, opt_picks = _union_optimum(oracle, masks, max_profiles)
+    if oracle.value_num(opt_union) == 0:
+        raise DegenerateInstanceError(
+            "optimum value is 0, efficiency ratio undefined"
+        )
+    n = len(masks)
+    if g.n != n:
+        raise InputError(f"graph has {g.n} agents but instance has {n}")
+    choice_idx, _ = _worst_case_choices(oracle, n, g, masks, max_branches)
+    return opt_union, opt_picks, choice_idx
 
 
 def efficiency(
@@ -266,24 +309,18 @@ def efficiency(
 
     Only the worst choice vector is needed, so no per-agent trace is built.
     """
-    opt = brute_force_opt(inst, max_profiles)
-    if opt.value == 0:
-        raise DegenerateInstanceError(
-            "optimum value is 0, efficiency ratio undefined"
-        )
-    if g.n != inst.n:
-        raise InputError(f"graph has {g.n} agents but instance has {inst.n}")
     oracle = inst.oracle
     masks = inst.action_masks()
-    choice_idx, _ = _worst_case_choices(inst, g, masks, max_branches)
+    opt_union, opt_picks, choice_idx = _efficiency_core(
+        oracle, masks, g, max_branches, max_profiles
+    )
     sol_union = 0
     for acts, idx in zip(masks, choice_idx):
         sol_union |= acts[idx]
-    opt_union = mask_of(frozenset().union(*opt.profile), oracle.ground_size)
     return EfficiencyReport(
         gamma=Fraction(oracle.value_num(sol_union), oracle.value_num(opt_union)),
-        opt_value=opt.value,
+        opt_value=oracle.value_mask(opt_union),
         sol_value=oracle.value_mask(sol_union),
-        opt_profile=opt.profile,
+        opt_profile=tuple(acts[idx] for acts, idx in zip(inst.actions, opt_picks)),
         sol_profile=tuple(acts[idx] for acts, idx in zip(inst.actions, choice_idx)),
     )

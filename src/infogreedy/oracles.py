@@ -4,9 +4,10 @@ All values are exact rationals (fractions.Fraction).  Floats never enter the
 pipeline; tie-breaking in the greedy engine and the bound-achieving
 constructions are destroyed by floating-point ties.  Inside, the set-cover,
 capped-sum, two-block and table oracles fix one integer denominator at
-construction and sum integer numerators, and the exhaustive audit scales
-its value vector by the lcm of the denominators and compares integers;
-both stay exact and hand out the same Fractions.
+construction and sum integer numerators, and the exhaustive audit compares
+integers: those numerators where the oracle has them, and otherwise its
+value vector scaled by the lcm of the denominators; both stay exact and
+hand out the same Fractions.
 
 ``value_mask`` returns a Fraction to every caller.  ``value_num`` returns a
 cached value that compares exactly with the oracle's other values: the
@@ -22,9 +23,9 @@ memoization of evaluated masks.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardRefusal, InputError
@@ -424,6 +425,42 @@ class AuditReport:
         return self.normalized and self.monotone and self.submodular
 
 
+def _split(vec: list, bit: int) -> tuple[list, list]:
+    """The entries of ``vec`` whose index lacks ``bit``, and the matching
+    entries with it, both in index order: the index with ``bit`` removed.
+
+    A vector over all masks holds these as runs of length 2^bit, every
+    2^(bit+1) entries, so both halves are gathered with whichever of
+    strided or blocked slices needs fewer slice operations.
+    """
+    run = 1 << bit
+    step = run << 1
+    blocks = len(vec) // step
+    if run <= blocks:
+        lower = [None] * (run * blocks)
+        upper = [None] * (run * blocks)
+        for r in range(run):
+            lower[r::run] = vec[r::step]
+            upper[r::run] = vec[r + run::step]
+    else:
+        lower, upper = [], []
+        for start in range(0, len(vec), step):
+            lower += vec[start:start + run]
+            upper += vec[start + run:start + step]
+    return lower, upper
+
+
+def _insert_zero(index: int, bit: int) -> int:
+    """The mask whose index in ``_split``'s halves at ``bit`` is ``index``."""
+    low = index & ((1 << bit) - 1)
+    return (index - low) << 1 | low
+
+
+def _first_below(left: list, right: list) -> int:
+    """The first index at which ``left`` is smaller than ``right``."""
+    return next(k for k, (a, b) in enumerate(zip(left, right)) if a < b)
+
+
 def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> AuditReport:
     """Exhaustively audit normalization, monotonicity, and diminishing returns.
 
@@ -433,6 +470,12 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
     returns is checked in the equivalent pair form
     f(A+x) + f(A+y) >= f(A+x+y) + f(A), whose failure yields the witness
     triple (A, B=A+y, x).
+
+    The checks sweep whole vectors: per element x the marginal vector
+    f(A+x) - f(A) over every A without x must be nonnegative and must not
+    rise along any element y > x.  Only a failing x or (x, y) is searched
+    for its first failing A, and the smallest (A, x, y) is reported, the
+    witness an A-then-x-then-y loop finds first.
     """
     m = oracle.ground_size
     if m > guard:
@@ -441,50 +484,50 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
         )
     witnesses: dict = {}
     # the value cache is seeded with f(empty) = 0, so ask the function itself
-    empty = oracle._value_mask(0)
+    if isinstance(oracle, ScaledOracle):
+        # integers over the oracle's own denominator: exact already
+        values = [oracle._value_num(0)]
+        values += map(oracle.value_num, range(1, 1 << m))
+        empty = Fraction(values[0], oracle._den)
+    else:
+        # every value times the lcm of their denominators: exact, and all ints
+        empty = oracle._value_mask(0)
+        _, values = _scaled(
+            [empty] + [oracle.value_mask(mask) for mask in range(1, 1 << m)]
+        )
     normalized = empty == 0
     if not normalized:
         witnesses["normalized"] = {"value_of_empty": empty}
 
-    # every value times the lcm of their denominators: exact, and all ints
-    _, values = _scaled(
-        [empty] + [oracle.value_mask(mask) for mask in range(1, 1 << m)]
-    )
+    mono_fail = None  # smallest (A, x) with f(A+x) < f(A)
+    sub_fail = None  # smallest (A, x, y) with f(A+x) + f(A+y) < f(A+x+y) + f(A)
+    for x in range(m):
+        without, with_x = _split(values, x)
+        if any(map(operator.lt, with_x, without)):
+            fail = (_insert_zero(_first_below(with_x, without), x), x)
+            mono_fail = fail if mono_fail is None else min(mono_fail, fail)
+        gain = list(map(operator.sub, with_x, without))  # indexed by A without x
+        for y in range(x + 1, m):
+            lower, upper = _split(gain, y - 1)
+            if any(map(operator.lt, lower, upper)):
+                mask = _insert_zero(_insert_zero(_first_below(lower, upper), y - 1), x)
+                fail = (mask, x, y)
+                sub_fail = fail if sub_fail is None else min(sub_fail, fail)
 
-    monotone = True
-    for mask in range(1 << m):
-        base = values[mask]
-        for x in range(m):
-            if mask >> x & 1:
-                continue
-            if values[mask | (1 << x)] < base:
-                monotone = False
-                witnesses["monotone"] = {
-                    "A": sorted(set_of(mask)),
-                    "B": sorted(set_of(mask | (1 << x))),
-                }
-                break
-        if not monotone:
-            break
-
-    submodular = True
-    for mask in range(1 << m):
-        base = values[mask]
-        free = [x for x in range(m) if not mask >> x & 1]
-        for x, y in combinations(free, 2):
-            mx, my = mask | 1 << x, mask | 1 << y
-            if values[mx] + values[my] < values[mx | my] + base:
-                submodular = False
-                witnesses["submodular"] = {
-                    "A": sorted(set_of(mask)),
-                    "B": sorted(set_of(mask | (1 << y))),
-                    "x": x,
-                }
-                break
-        if not submodular:
-            break
-
-    return AuditReport(normalized, monotone, submodular, witnesses)
+    if mono_fail is not None:
+        mask, x = mono_fail
+        witnesses["monotone"] = {
+            "A": sorted(set_of(mask)),
+            "B": sorted(set_of(mask | (1 << x))),
+        }
+    if sub_fail is not None:
+        mask, x, y = sub_fail
+        witnesses["submodular"] = {
+            "A": sorted(set_of(mask)),
+            "B": sorted(set_of(mask | (1 << y))),
+            "x": x,
+        }
+    return AuditReport(normalized, mono_fail is None, sub_fail is None, witnesses)
 
 
 # ---------------------------------------------------------------------------

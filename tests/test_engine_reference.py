@@ -360,3 +360,34 @@ class TestUnionProgram:
             assert len(oracle.asked) == len(set(oracle.asked)) <= 1 << ground
             saved += 3 ** n - len(oracle.asked)
         assert saved > 0
+
+
+class TestLastAgentTies:
+    """Every agent ties, the last one included: the leaves the engine
+    evaluates in its last agent's loop are counted as branches."""
+
+    inst = make_instance(build_wsc([1, 1, 1, 1]), [[[0], [1]], [[0], [2]], [[1], [3]]])
+    graph = InfoGraph(3, [])
+
+    def test_branch_count_matches_the_reference(self):
+        got = run_generalized_greedy(self.inst, self.graph, "worst")
+        assert got == ref_run_generalized_greedy(self.inst, self.graph, "worst")
+        # four distinct unions reach agent 3, each with two tied leaves
+        assert got.branches_explored == 8
+        assert got.trace[-1].tied == (0, 1)
+
+    def test_solve_worst_reports_the_same_count(self, tmp_path, capsys):
+        import json
+
+        from infogreedy.cli import main
+        from infogreedy.serialize import dumps, graph_to_obj, instance_to_obj
+
+        graph_path, inst_path = tmp_path / "g.json", tmp_path / "i.json"
+        graph_path.write_text(dumps(graph_to_obj(self.graph)))
+        inst_path.write_text(dumps(instance_to_obj(self.inst)))
+        code = main(["solve", "--graph", str(graph_path), "--instance", str(inst_path),
+                     "--tie", "worst", "--format", "json"])
+        out = json.loads(capsys.readouterr().out)
+        want = ref_run_generalized_greedy(self.inst, self.graph, "worst")
+        assert code == 0
+        assert out["branches_explored"] == want.branches_explored == 8

@@ -445,6 +445,62 @@ class TestAuditDifferential:
             report = audit_properties(oracle)
             assert report.ok and report == reference_audit(oracle)
 
+    def test_ground_sets_of_zero_and_one_element(self):
+        cases = [
+            (TableOracle(0, {0: F(0)}), True, None),
+            (TableOracle(1, {0: F(0), 1: F(3, 2)}), True, None),
+            (TableOracle(1, {0: F(0), 1: F(-1, 2)}), False, {"A": [], "B": [0]}),
+        ]
+        for oracle, monotone, witness in cases:
+            report = audit_properties(oracle)
+            assert report == reference_audit(oracle)
+            assert (report.monotone, report.submodular) == (monotone, True)
+            assert report.witnesses.get("monotone") == witness
+
+    def test_witnesses_at_different_masks(self):
+        # diminishing returns fails first at A = {}, (x, y) = (0, 1);
+        # monotonicity only at A = {0, 1}, x = 2
+        table = {0: 0, 1: 1, 2: 1, 3: 3, 4: 1, 5: 2, 6: 2, 7: 2}
+        oracle = TableOracle(3, {m: F(v) for m, v in table.items()})
+        report = audit_properties(oracle)
+        assert report == reference_audit(oracle)
+        assert report.witnesses == {
+            "monotone": {"A": [0, 1], "B": [0, 1, 2]},
+            "submodular": {"A": [], "B": [1], "x": 0},
+        }
+
+    def test_larger_ground_sets_match_the_fraction_reference(self):
+        # 6..9 elements: both the strided and the blocked slicing run
+        rng = random.Random(4242)
+        verdicts = {True: 0, False: 0}
+        for _ in range(24):
+            m = rng.randint(6, 9)
+            targets = [F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(6)]
+            covers = [rng.randrange(1, 1 << 6) for _ in range(m)]
+            table = {}
+            for mask in range(1 << m):
+                hit = 0
+                for x in range(m):
+                    if mask >> x & 1:
+                        hit |= covers[x]
+                table[mask] = sum((t for i, t in enumerate(targets) if hit >> i & 1), F(0))
+            if rng.random() < 0.6:
+                table[rng.randrange(1, 1 << m)] += F(rng.choice((-1, 1)), rng.randint(1, 3))
+            oracle = TableOracle(m, table)
+            report = audit_properties(oracle)
+            assert report == reference_audit(oracle)
+            verdicts[report.ok] += 1
+        assert verdicts[True] >= 4 and verdicts[False] >= 4
+
+    def test_scaled_oracle_value_of_the_empty_set(self):
+        class Halved(TableOracle):
+            def _value_num(self, mask):
+                return super()._value_num(mask) + 1
+
+        report = audit_properties(Halved(2, {0: F(0), 1: F(1, 2), 2: F(1, 2), 3: F(1)}))
+        assert report.monotone and report.submodular and not report.normalized
+        assert report.witnesses == {"normalized": {"value_of_empty": F(1, 2)}}
+
 
 # ---------------------------------------------------------------------------
 # No floats in the exact kernels

@@ -1,9 +1,11 @@
 """Shared-capacity table synthesis: the early stop and its differential check.
 
-Interval propagation stops at the first pass that leaves an interval empty.
-The reference below is the earlier loop, which ran up to 200 passes before
-looking; since bounds only tighten, both must return the same table or raise
-the same ``InfeasibleLpError`` on every input.
+Interval propagation stops at the first pass that leaves an interval empty,
+and runs on integer numerators over the lcm of the weights' denominators.
+The reference below is the earlier loop on Fractions, which ran up to 200
+passes before looking, with its own Fraction validator; since bounds only
+tighten, both must return the same table or raise the same
+``InfeasibleLpError`` on every input.
 """
 
 import random
@@ -14,7 +16,7 @@ import pytest
 
 import infogreedy.bounds as bounds_mod
 from infogreedy import InfoGraph, alpha_star_solution, upper_bound_instance
-from infogreedy.bounds import _table_valid, synthesize_shared_table
+from infogreedy.bounds import synthesize_shared_table
 from infogreedy.errors import InfeasibleLpError, InternalConsistencyError
 from conftest import all_pairs, unlabeled_classes
 
@@ -112,9 +114,31 @@ def reference_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
             raise InfeasibleLpError("reference: empty interval")
 
     table = {mask: hi[mask] for mask in range(1 << n)}
-    if not _table_valid(n, w, ties, table):
+    if not reference_table_valid(n, w, ties, table):
         raise InternalConsistencyError("reference: invalid table")
     return table
+
+
+def reference_table_valid(n, w, ties, table) -> bool:
+    full = (1 << n) - 1
+    if table[0] != 0 or table[full] != 1:
+        return False
+    for i in range(n):
+        if table[1 << i] != w[i]:
+            return False
+    for a, b, d in ties:
+        if table[b] - table[a] != d:
+            return False
+    singles = [1 << i for i in range(n)]
+    for mask in range(1 << n):
+        free = [s for s in singles if not mask & s]
+        for s in free:
+            if table[mask | s] < table[mask]:
+                return False
+        for sx, sy in combinations(free, 2):
+            if table[mask | sx] + table[mask | sy] < table[mask | sx | sy] + table[mask]:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
