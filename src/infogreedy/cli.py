@@ -3,6 +3,9 @@
 Commands are pure input -> output and byte-stable across runs given the same
 flags; seeds are always explicit in machine output.  Exit codes: 0 success,
 2 input error, 3 guard refusal, 4 internal-consistency failure, 5 I/O error.
+
+``main`` builds the parser once per process and looks each ``cmd_*`` handler
+up by name per call; ``verify`` is imported by its command alone.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
 from .bounds import adversarial_search, efficiency_bounds, sibling_instance, upper_bound_instance
 from .design import CASE_TURAN, DESIGN_GUARD, efficiency_curve, optimal_structure
 from .errors import exit_code_for
@@ -275,8 +277,9 @@ def cmd_audit(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ok = verify_mod.run_all(sys.stdout)
-    return 0 if ok else 4
+    from . import verify
+
+    return 0 if verify.run_all(sys.stdout) else 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -293,7 +296,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--format", choices=("table", "json", "dot"), default="table")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("solve", help="run the greedy rows against the optimum")
     p.add_argument("--graph", required=True)
@@ -303,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", help="write a per-agent decision trace to this path")
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("worst-case", help="emit certified bound-achieving instances")
     p.add_argument("--graph", required=True)
@@ -311,7 +312,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="extra adversarial probe budget (0 = skip, must be nonnegative)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_worst_case)
 
     n_help = f"number of agents, at most {DESIGN_GUARD:,} (more is refused with exit 3)"
     p = sub.add_parser("design", help="edge-budget-optimal information structure")
@@ -319,31 +319,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--format", choices=("table", "json", "dot"), default="table")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_design)
 
     p = sub.add_parser("curve", help="guaranteed efficiency for every edge budget")
     p.add_argument("--n", type=int, required=True, help=n_help)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_curve)
 
     p = sub.add_parser("audit", help="exhaustive oracle property audit")
     p.add_argument("--instance", required=True)
     p.add_argument("--format", choices=("table", "json"), default="table")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_audit)
 
-    p = sub.add_parser("verify", help="replay fixtures and invariant sweeps")
-    p.set_defaults(func=cmd_verify)
-
+    sub.add_parser("verify", help="replay fixtures and invariant sweeps")
     return parser
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
-        return args.func(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except Exception as exc:  # noqa: BLE001 - map to contract exit codes
         code = exit_code_for(exc)
         if code == 1:

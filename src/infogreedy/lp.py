@@ -18,10 +18,9 @@ variables, which covers both clique relaxations:
   primal    max 1'z   s.t.  Wz <= 1, z >= 0     (fractional independence)
   dual      min 1'y   s.t.  W'y >= 1, y >= 0     (fractional clique cover)
 
-Every solution carries a dual certificate that ``verify_certificate``
-re-checks exactly against the original LinearProgram, independently of the
-tableau: on integers, with each row scaled by the lcm of its denominators
-and every comparison made by cross-multiplying.
+Each LinearProgram carries these integer rows, made once; ``solve_lp`` and
+``verify_certificate``, which re-checks every dual certificate apart from
+the tableau, both read them.  ``LP_GUARD`` bounds the m * (n + m) entries.
 
 A graph's independence LP is solved once: the verified solution is kept on
 the graph with its other facts (see ``graphs``).  Its dual is a fractional
@@ -33,20 +32,24 @@ has already proved, so ``k_star`` reads k* = a* from it instead of solving
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 
 from .errors import (
+    GuardRefusal,
     InfeasibleLpError,
     InputError,
     InternalConsistencyError,
     UnboundedLpError,
 )
-from .graphs import InfoGraph, maximal_cliques
+from .graphs import InfoGraph, _mask, maximal_cliques
 from .oracles import _scaled
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+# On tableau entries m * (n + m): a graph on n <= 16 agents has at most 324
+# maximal cliques, so its largest clique LP has 324 * 340 = 110,160.
+LP_GUARD = 120_000
 
 
 @dataclass(frozen=True)
@@ -55,12 +58,24 @@ class LinearProgram:
 
     Rows are normalized to <= at construction; a >= row is negated.  The
     certificate of any solution refers to this normalized orientation.
+
+    ``_form`` is ``(obj_scale, obj, row_scales, rows)`` as ``_scaled`` makes
+    it, rhs last in each row: handed in as ``form`` or derived.  Not being a
+    field, it is ignored by ==, hash and repr and derived afresh by replace.
     """
 
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     rhs: tuple[Fraction, ...]
     sense: str  # "max" | "min"
+    form: InitVar[tuple | None] = None
+
+    def __post_init__(self, form):
+        if form is None:
+            scale, obj = _scaled(self.objective)
+            rows = [_scaled((*row, b)) for row, b in zip(self.rows, self.rhs)]
+            form = scale, tuple(obj), tuple(s for s, _ in rows), tuple(tuple(r) for _, r in rows)
+        object.__setattr__(self, "_form", form)
 
     @staticmethod
     def build(objective, rows, senses, rhs, sense) -> "LinearProgram":
@@ -73,16 +88,11 @@ class LinearProgram:
         for row, s, b in zip(rows, senses, rhs):
             if len(row) != len(objective):
                 raise InputError("row width does not match objective length")
-            row = tuple(Fraction(a) for a in row)
-            b = Fraction(b)
-            if s == "<=":
-                norm_rows.append(row)
-                norm_rhs.append(b)
-            elif s == ">=":
-                norm_rows.append(tuple(-a for a in row))
-                norm_rhs.append(-b)
-            else:
+            if s not in ("<=", ">="):
                 raise InputError(f"unknown row sense {s!r}")
+            sign = 1 if s == "<=" else -1
+            norm_rows.append(tuple(sign * Fraction(a) for a in row))
+            norm_rhs.append(sign * Fraction(b))
         return LinearProgram(objective, tuple(norm_rows), tuple(norm_rhs), sense)
 
 
@@ -177,13 +187,17 @@ def _bland_max(tab: _Tableau, cost: list[int], ncols: int):
         tab.pivot(leave, enter, cost)
 
 
+def _refuse_tableau(m: int, n: int):
+    if m * (n + m) > LP_GUARD:
+        raise GuardRefusal(f"LP of {m} rows, {n} columns exceeds tableau guard {LP_GUARD:,}")
+
+
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Exact optimum, optimal point, and a re-verifiable dual certificate."""
-    n = len(lp.objective)
-    m = len(lp.rows)
-    obj_scale, obj = _scaled(lp.objective)
-    if lp.sense == "min":
-        obj = [-c for c in obj]
+    n, m = len(lp.objective), len(lp.rows)
+    _refuse_tableau(m, n)
+    obj_scale, obj, scales, int_rows = lp._form
+    obj = [-c for c in obj] if lp.sense == "min" else list(obj)
 
     # Equality system [S A | I](x, s) = S b with S the positive diagonal of
     # row scales, so every coefficient is an integer.  The scaled slack is
@@ -191,22 +205,19 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     # Flip rows with negative rhs and give them artificials so the
     # slack/artificial basis starts feasible.
     ncols = n + m
-    flipped = [b < 0 for b in lp.rhs]
+    flipped = [ints[n] < 0 for ints in int_rows]
     art_of = {i: ncols + k for k, i in enumerate(i for i in range(m) if flipped[i])}
     total_cols = ncols + len(art_of)
-    rows: list[list[int]] = []
-    basis: list[int] = []
-    scales: list[int] = []
-    for i in range(m):
-        scale, coeffs = _scaled(lp.rows[i] + (lp.rhs[i],))
+    pad = [0] * (total_cols - n)
+    rows, basis = [], []
+    for i, ints in enumerate(int_rows):
         sign = -1 if flipped[i] else 1
-        row = [sign * a for a in coeffs[:n]]
-        row += [sign if j == i else 0 for j in range(m)]
-        row += [1 if art_of.get(i) == c else 0 for c in range(ncols, total_cols)]
-        row.append(sign * coeffs[n])
-        rows.append(row)
+        row = [sign * a for a in ints[:n]] + pad
+        row.append(sign * ints[n])
+        row[n + i] = sign
         basis.append(art_of.get(i, n + i))
-        scales.append(scale)
+        row[basis[-1]] = 1  # the basic column: the slack, or a flipped row's artificial
+        rows.append(row)
     art_cols = sorted(art_of.values())
     tab = _Tableau(rows, basis)
 
@@ -268,7 +279,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
 def verify_certificate(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     """Exact primal feasibility, dual feasibility, and objective equality.
 
-    Checked on integers against ``lp`` alone, independently of the solver:
+    Checked on the integer form of ``lp`` alone, independently of the solver:
     each row with its rhs is scaled by the lcm ``s_i`` of its denominators,
     the objective by its own lcm, and ``x`` and ``y`` are written over their
     common denominators, so every comparison is a cross-multiplied integer
@@ -282,17 +293,12 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
     dx, xs = _scaled(sol.point)
     if any(v < 0 for v in xs):
         return False, "point violates nonnegativity"
-    scales, rows = [], []
-    for row, b in zip(lp.rows, lp.rhs):
-        scale, ints = _scaled(row + (b,))
-        scales.append(scale)
-        rows.append(ints)
+    sc, cs, scales, rows = lp._form
     support = [(j, v) for j, v in enumerate(xs) if v]
     for ints in rows:
         if sum(ints[j] * v for j, v in support) > ints[n] * dx:
             return False, "point violates a row"
     # c = C / sc and optimum = p / q: c'x = optimum iff C'X * q = p * sc * dx
-    sc, cs = _scaled(lp.objective)
     p, q = sol.optimum.numerator, sol.optimum.denominator
     if sum(cs[j] * v for j, v in support) * q != p * sc * dx:
         return False, "objective value mismatch"
@@ -326,11 +332,9 @@ def verify_certificate(lp: LinearProgram, sol: LpSolution) -> tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 
-def _clique_rows(g: InfoGraph) -> list[tuple[frozenset[int], tuple[Fraction, ...]]]:
-    rows = []
-    for c in maximal_cliques(g):
-        rows.append((c, tuple(ONE if v in c else ZERO for v in range(1, g.n + 1))))
-    return rows
+# a 0/1 membership bit as a Fraction entry, plain and negated
+_UNIT = (ZERO, ONE)
+_NEG_UNIT = (ZERO, -ONE)
 
 
 def independence_lp(g: InfoGraph) -> LinearProgram:
@@ -340,14 +344,12 @@ def independence_lp(g: InfoGraph) -> LinearProgram:
     restricting to maximal cliques leaves the optimum unchanged while keeping
     the tableau small.
     """
-    rows = _clique_rows(g)
-    return LinearProgram.build(
-        [ONE] * g.n,
-        [r for _, r in rows],
-        ["<="] * len(rows),
-        [ONE] * len(rows),
-        "max",
-    )
+    masks = [_mask(c) for c in maximal_cliques(g)]
+    _refuse_tableau(len(masks), g.n)
+    bits = [tuple(c >> v & 1 for v in range(g.n)) for c in masks]
+    rows = tuple(tuple(map(_UNIT.__getitem__, b)) for b in bits)
+    form = (1, (1,) * g.n, (1,) * len(masks), tuple((*b, 1) for b in bits))
+    return LinearProgram((ONE,) * g.n, rows, (ONE,) * len(masks), "max", form)
 
 
 def cover_lp(g: InfoGraph) -> LinearProgram:
@@ -355,19 +357,14 @@ def cover_lp(g: InfoGraph) -> LinearProgram:
 
     The dual of ``independence_lp``.  ``k_star`` does not solve it; solving
     it is an independent cross-check of a* = k* (``verify`` and the tests).
+    Its >= rows are stored negated, as ``LinearProgram.build`` stores them.
     """
-    rows = _clique_rows(g)
-    ncl = len(rows)
-    cols = []
-    for v in range(1, g.n + 1):
-        cols.append(tuple(rows[c][1][v - 1] for c in range(ncl)))
-    return LinearProgram.build(
-        [ONE] * ncl,
-        cols,
-        [">="] * g.n,
-        [ONE] * g.n,
-        "min",
-    )
+    masks = [_mask(c) for c in maximal_cliques(g)]
+    _refuse_tableau(g.n, len(masks))
+    bits = [tuple(c >> v & 1 for c in masks) for v in range(g.n)]
+    rows = tuple(tuple(map(_NEG_UNIT.__getitem__, b)) for b in bits)
+    form = (1, (1,) * len(masks), (1,) * g.n, tuple((*(-a for a in b), -1) for b in bits))
+    return LinearProgram((ONE,) * len(masks), rows, (-ONE,) * g.n, "min", form)
 
 
 def _independence_solution(g: InfoGraph) -> LpSolution:

@@ -1,12 +1,17 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
 import json
+import os
+import random
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
 import infogreedy.bounds as bounds_mod
+import infogreedy.cli as cli_mod
 import infogreedy.lp as lp_mod
 import infogreedy.serialize as serialize_mod
 import infogreedy.verify as verify_mod
@@ -385,6 +390,19 @@ class TestContracts:
         assert time.perf_counter() - start < 1
         assert "maximal cliques" in capsys.readouterr().err
 
+    def test_lp_tableau_guard_refuses_a_dense_sixty_agent_graph(self, tmp_path, capsys):
+        # G(60, 1/2) has well over a thousand maximal cliques, so its
+        # independence LP would have millions of tableau entries
+        rng = random.Random(60)
+        edges = [[i, j] for i in range(1, 61) for j in range(i + 1, 61) if rng.random() < 0.5]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps({"n": 60, "edges": edges}))
+        start = time.perf_counter()
+        assert main(["worst-case", "--graph", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == "" and f"tableau guard {lp_mod.LP_GUARD:,}" in err
+
     def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
         # the entry count is compared with 2^ground without forming 1 << ground
         doc = tmp_path / "huge.json"
@@ -420,3 +438,56 @@ class TestContracts:
         second = capsys.readouterr().out
         assert code1 == code2 == 0
         assert first == second
+
+
+def _outcome(capsys, argv) -> tuple:
+    """Exit code, stdout and stderr of one call, counting argparse's exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestCachedParser:
+    @pytest.mark.parametrize("argv, code", [
+        (["--help"], 0),
+        (["worst-case", "--help"], 0),
+        (["analyze", "--graph", "g.json", "--format", "xml"], 2),
+    ])
+    def test_help_and_errors_repeat_byte_for_byte(self, monkeypatch, capsys, argv, code):
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        first = _outcome(capsys, argv)
+        assert first[0] == code and (first[1] if code == 0 else first[2])
+        assert _outcome(capsys, ["curve", "--n", "4"])[0] == 0
+        assert [_outcome(capsys, argv) for _ in range(2)] == [first, first]
+
+    def test_parser_is_built_once_per_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli_mod, "_PARSER", None)
+        built = []
+        original = cli_mod.build_parser
+        monkeypatch.setattr(cli_mod, "build_parser", lambda: built.append(1) or original())
+        for argv in (["analyze", "--graph", str(FIXTURES / "five_cycle.json")],
+                     ["curve", "--n", "4"], ["design", "--n", "5", "--m", "3"]):
+            assert _outcome(capsys, argv)[0] == 0
+        assert built == [1]
+
+    def test_a_replaced_handler_takes_effect_and_undoes(self, monkeypatch, capsys):
+        argv = ["analyze", "--graph", str(FIXTURES / "five_cycle.json")]
+        before = _outcome(capsys, argv)
+        monkeypatch.setattr(cli_mod, "cmd_analyze", lambda args: 7)
+        assert _outcome(capsys, argv) == (7, "", "")
+        monkeypatch.undo()
+        assert _outcome(capsys, argv) == before
+
+    def test_import_builds_no_parser_and_leaves_verify_out(self):
+        code = (
+            "import sys, infogreedy.cli as cli; "
+            "print('infogreedy.verify' in sys.modules, cli._PARSER is None)"
+        )
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "False True\n"
