@@ -116,15 +116,19 @@ def edgeless_graph(n: int) -> InfoGraph:
     return InfoGraph(n, [])
 
 
-def _vertices(mask: int) -> frozenset[int]:
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, lowest first."""
     out = []
-    i = 1
     while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _vertices(mask: int) -> frozenset[int]:
+    # vertex v is bit v - 1 of the mask, so bit v of the mask shifted once
+    return frozenset(_bits(mask << 1))
 
 
 def _mask(vertices: Iterable[int]) -> int:

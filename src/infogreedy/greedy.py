@@ -9,8 +9,8 @@ is defined against the worst candidate solution over every chain of argmax
 tie breaks, so the "worst" policy enumerates all branches exhaustively (with
 memoization on what the future can still observe) rather than sampling.
 All comparisons are exact; there are no epsilon ties.  They read the
-oracle's ``value_num``, integers over one fixed denominator for every oracle
-that has one, and Fractions are built only for the values handed back: the
+oracle's ``value_num``, an integer numerator over the oracle's one fixed
+denominator, and Fractions are built only for the values handed back: the
 returned values, the marginals of a ``solve`` trace, and the ratio.
 
 The optimum is a dynamic program over action unions, exact for any set
@@ -29,7 +29,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from .errors import DegenerateInstanceError, GuardRefusal, InputError
-from .graphs import InfoGraph
+from .graphs import InfoGraph, _bits
 from .oracles import Instance
 
 BRANCH_GUARD = 10 ** 6
@@ -118,13 +118,6 @@ def run_generalized_greedy(
         explored = 1
 
     return _replay(inst, g, masks, choice_idx, explored)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask &= mask - 1
 
 
 def _tie_lists(g: InfoGraph):

@@ -2,18 +2,16 @@
 
 All values are exact rationals (fractions.Fraction).  Floats never enter the
 pipeline; tie-breaking in the greedy engine and the bound-achieving
-constructions are destroyed by floating-point ties.  Inside, the set-cover,
-capped-sum, two-block and table oracles fix one integer denominator at
-construction and sum integer numerators, and the exhaustive audit compares
-integers: those numerators where the oracle has them, and otherwise its
-value vector scaled by the lcm of the denominators; both stay exact and
-hand out the same Fractions.
+constructions are destroyed by floating-point ties.  Inside, every oracle
+fixes one positive integer denominator at construction and computes integer
+numerators over it: the set-cover, capped-sum, two-block and table oracles
+scale their values by the lcm of the denominators, and the target-assignment
+oracle also by the product of its probability denominators.
 
-``value_mask`` returns a Fraction to every caller.  ``value_num`` returns a
-cached value that compares exactly with the oracle's other values: the
-integer numerator over the fixed denominator where the oracle has one, and
-the Fraction itself otherwise (``vta``).  The greedy engine compares these,
-and builds Fractions only for the values it returns.
+``value_num`` returns the cached integer numerator of a value, which orders
+exactly against the oracle's other values; the greedy engine and the
+exhaustive audit compare these.  ``value_mask`` returns the Fraction
+``value_num / _den`` to every caller that wants the value itself.
 
 Ground-set elements are dense integer ids 0..m-1.  Subsets travel through the
 public API as iterables of ids and internally as bitmasks, with per-oracle
@@ -29,6 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardRefusal, InputError
+from .graphs import _bits
 
 AUDIT_GUARD = 16
 
@@ -68,45 +67,44 @@ def _dense_table(table: Mapping[int, Fraction], size: int, what: str) -> list[Fr
 
 
 def set_of(mask: int) -> frozenset[int]:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+    return frozenset(_bits(mask))
 
 
 class ValuationOracle:
     """Base class: a normalized monotone submodular f: 2^S -> Q>=0.
 
-    Subclasses implement ``_value_mask`` for a validated bitmask.  Instances
-    are immutable after construction and safe to share across threads; the
-    value cache is append-only.
+    Subclasses set ``_den`` (positive) at construction and implement
+    ``_value_num``, f(mask) * ``_den`` as an integer, for a validated bitmask.
+    Instances are immutable after construction and safe to share across
+    threads; the value cache is append-only.
     """
 
     kind = "abstract"
+    _den: int
 
     def __init__(self, ground_size: int):
         if ground_size < 0:
             raise InputError("ground size must be nonnegative")
         self.ground_size = ground_size
-        self._cache: dict[int, Fraction] = {0: Fraction(0)}
+        self._cache: dict[int, int] = {}
 
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_num(self, mask: int) -> int:
         raise NotImplementedError
 
-    def value_mask(self, mask: int) -> Fraction:
+    def value_num(self, mask: int) -> int:
+        """f(mask) * ``_den``, an int that orders exactly against the oracle's other values."""
         got = self._cache.get(mask)
         if got is None:
-            got = self._value_mask(mask)
+            got = self._value_num(mask)
             self._cache[mask] = got
         return got
 
-    def value_num(self, mask: int):
-        """f(mask) in a form that orders exactly against this oracle's other values."""
-        return self.value_mask(mask)
+    # value_mask reads the cache through this private copy, past any
+    # subclass that wraps value_num
+    _cached_num = value_num
+
+    def value_mask(self, mask: int) -> Fraction:
+        return Fraction(self._cached_num(mask), self._den)
 
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(subset, self.ground_size))
@@ -119,35 +117,7 @@ class ValuationOracle:
         raise NotImplementedError
 
 
-class ScaledOracle(ValuationOracle):
-    """An oracle whose values are integer numerators over one denominator.
-
-    Subclasses set ``_den`` (positive) at construction and implement
-    ``_value_num``; ``value_num`` caches those integers, which order exactly
-    as the Fractions ``value_mask`` hands out.
-    """
-
-    _den: int
-
-    def __init__(self, ground_size: int):
-        super().__init__(ground_size)
-        self._num_cache: dict[int, int] = {}
-
-    def _value_num(self, mask: int) -> int:
-        raise NotImplementedError
-
-    def _value_mask(self, mask: int) -> Fraction:
-        return Fraction(self._value_num(mask), self._den)
-
-    def value_num(self, mask: int) -> int:
-        got = self._num_cache.get(mask)
-        if got is None:
-            got = self._value_num(mask)
-            self._num_cache[mask] = got
-        return got
-
-
-class WeightedSetCoverOracle(ScaledOracle):
+class WeightedSetCoverOracle(ValuationOracle):
     """f(A) = sum of target values over covered targets, each counted once."""
 
     kind = "wsc"
@@ -183,6 +153,11 @@ class TargetAssignmentOracle(ValuationOracle):
     a * T + t.  A covered target t pays v_t * (1 - prod over engaged agents of
     (1 - p_a)), so distinct agents covering the same target remain distinct
     ground elements and action sets stay disjoint across agents.
+
+    With p_a = r_a / q_a, Q = prod q_a and L the lcm of the value
+    denominators, the denominator is L * Q and target t contributes the
+    integer (L * v_t) * (Q - (Q // prod q_a) * prod (q_a - r_a)), both
+    products over the agents that engage it.
     """
 
     kind = "vta"
@@ -199,33 +174,30 @@ class TargetAssignmentOracle(ValuationOracle):
         super().__init__(len(values) * len(probs))
         self.values = values
         self.probs = probs
+        scale, self._nums = _scaled(values)
+        self._q = [p.denominator for p in probs]
+        self._miss = [p.denominator - p.numerator for p in probs]
+        self._Q = math.prod(self._q)
+        self._den = scale * self._Q
 
     def element_id(self, agent: int, target: int) -> int:
         return agent * len(self.values) + target
 
-    def _value_mask(self, mask: int) -> Fraction:
+    def _value_num(self, mask: int) -> int:
         T = len(self.values)
-        miss: list[Fraction] = [Fraction(1)] * T
-        covered = [False] * T
-        e = 0
-        while mask:
-            if mask & 1:
-                a, t = divmod(e, T)
-                covered[t] = True
-                miss[t] *= 1 - self.probs[a]
-            mask >>= 1
-            e += 1
-        total = Fraction(0)
-        for t in range(T):
-            if covered[t]:
-                total += self.values[t] * (1 - miss[t])
-        return total
+        engaged: dict[int, tuple[int, int]] = {}  # target -> (prod q_a, prod q_a - r_a)
+        for e in _bits(mask):
+            a, t = divmod(e, T)
+            q, miss = engaged.get(t, (1, 1))
+            engaged[t] = (q * self._q[a], miss * self._miss[a])
+        Q = self._Q
+        return sum(self._nums[t] * (Q - Q // q * miss) for t, (q, miss) in engaged.items())
 
     def to_params(self) -> dict:
         return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
 
 
-class CappedSumOracle(ScaledOracle):
+class CappedSumOracle(ValuationOracle):
     """Two-block ground set {u_1..u_n, v_1..v_n} with per-agent weights w.
 
     f(A) = min(1, sum of w_i over u_i in A) + sum of w_i over v_i in A.
@@ -270,7 +242,7 @@ class CappedSumOracle(ScaledOracle):
         return {"kind": self.kind, "weights": list(self.weights)}
 
 
-class TwoBlockOracle(ScaledOracle):
+class TwoBlockOracle(ValuationOracle):
     """Ground set {u_1..u_n, v_1..v_n}: tabulated u-block plus modular v-block.
 
     f(A) = table[A restricted to u block] + sum of w_i over v_i in A.  The
@@ -322,7 +294,7 @@ class TwoBlockOracle(ScaledOracle):
         }
 
 
-class TableOracle(ScaledOracle):
+class TableOracle(ValuationOracle):
     """Explicit table of values, one per subset; used by synthesized instances."""
 
     kind = "table"
@@ -483,18 +455,8 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
             f"ground set of size {m} exceeds exhaustive audit guard {guard}"
         )
     witnesses: dict = {}
-    # the value cache is seeded with f(empty) = 0, so ask the function itself
-    if isinstance(oracle, ScaledOracle):
-        # integers over the oracle's own denominator: exact already
-        values = [oracle._value_num(0)]
-        values += map(oracle.value_num, range(1, 1 << m))
-        empty = Fraction(values[0], oracle._den)
-    else:
-        # every value times the lcm of their denominators: exact, and all ints
-        empty = oracle._value_mask(0)
-        _, values = _scaled(
-            [empty] + [oracle.value_mask(mask) for mask in range(1, 1 << m)]
-        )
+    values = list(map(oracle.value_num, range(1 << m)))
+    empty = Fraction(values[0], oracle._den)
     normalized = empty == 0
     if not normalized:
         witnesses["normalized"] = {"value_of_empty": empty}

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, determinism, and exit codes."""
 
+import hashlib
 import json
 import os
 import random
@@ -112,6 +113,66 @@ class TestSolve:
         obj = json.loads(trace.read_text())
         assert len(obj["agents"]) == 4
         assert obj["agents"][2]["observed_elements"] == [2]
+
+
+VTA_GRAPH = {"n": 3, "edges": [[1, 2]]}
+# probability denominators 3 and 7 and a certain agent; agents 1 and 3 tie
+VTA_INSTANCE = {
+    "kind": "vta", "values": [2, 2, "1/2"], "probs": ["1/3", "2/7", 1],
+    "actions": [[[0], [1], [2]], [[3], [4], [3, 5]], [[6], [7], [8]]],
+}
+VTA_TABLE = (
+    "Optimal                         {0} {3,5} {7}  ->  67/21\n"
+    "Distributed Greedy              {0} {4} {7}  ->  8/3\n"
+    "Generalized Distributed Greedy  {0} {4} {6}  ->  18/7\n"
+    "efficiency ratio: 54/67\n"
+)
+VTA_JSON = {
+    "branches_explored": 4, "gamma": "54/67",
+    "rows": {
+        "distributed_greedy": {"profile": [[0], [4], [7]], "value": "8/3"},
+        "generalized_distributed_greedy": {"profile": [[0], [4], [6]], "value": "18/7"},
+        "optimal": {"profile": [[0], [3, 5], [7]], "value": "67/21"},
+    },
+    "seed": 0, "tie_policy": "worst",
+}
+VTA_TRACE = {
+    "agents": [
+        {"agent": 1, "chosen_action": 0, "marginals": ["2/3", "2/3", "1/6"],
+         "observed_elements": [], "tied_actions": [0, 1]},
+        {"agent": 2, "chosen_action": 1, "marginals": ["8/21", "4/7", "11/21"],
+         "observed_elements": [0], "tied_actions": [1]},
+        {"agent": 3, "chosen_action": 0, "marginals": [2, 2, "1/2"],
+         "observed_elements": [], "tied_actions": [0, 1]},
+    ],
+    "seed": 0, "tie_policy": "worst",
+}
+# sha256 of the exact bytes, indentation and newlines included
+VTA_JSON_SHA = "e2024165154c6b6f4b656ea2a40b473def6d2826743dd511f2b94538eeb89105"
+VTA_TRACE_SHA = "5ad9ceaae3105f554ad6ac4c17430654866ccb1682e2d17772a49847e6125e1f"
+
+
+class TestSolveTargetAssignment:
+    def _solve(self, capsys, tmp_path, fmt):
+        graph, inst = tmp_path / "g.json", tmp_path / "i.json"
+        graph.write_text(json.dumps(VTA_GRAPH))
+        inst.write_text(json.dumps(VTA_INSTANCE))
+        trace = tmp_path / f"trace_{fmt}.json"
+        code, out = run(capsys, "solve", "--graph", str(graph), "--instance", str(inst),
+                        "--format", fmt, "--trace", str(trace))
+        assert code == 0
+        text = trace.read_text()
+        assert json.loads(text) == VTA_TRACE
+        assert hashlib.sha256(text.encode()).hexdigest() == VTA_TRACE_SHA
+        return out
+
+    def test_table_bytes(self, capsys, tmp_path):
+        assert self._solve(capsys, tmp_path, "table") == VTA_TABLE
+
+    def test_json_bytes(self, capsys, tmp_path):
+        out = self._solve(capsys, tmp_path, "json")
+        assert json.loads(out) == VTA_JSON
+        assert hashlib.sha256(out.encode()).hexdigest() == VTA_JSON_SHA
 
 
 class TestDesignAndCurve:
@@ -402,6 +463,22 @@ class TestContracts:
         assert time.perf_counter() - start < 1
         out, err = capsys.readouterr()
         assert out == "" and f"tableau guard {lp_mod.LP_GUARD:,}" in err
+
+    def test_lp_tableau_guard_refuses_a_wide_edgeless_graph_at_once(self, tmp_path):
+        # 9,999 one-vertex cliques: each clique mask becomes a vertex set in
+        # time proportional to its set bits, not to its width
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps({"n": 9999, "edges": []}))
+        src = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "infogreedy.cli", "worst-case", "--graph", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+        )
+        assert time.perf_counter() - start < 2
+        assert (done.returncode, done.stdout, done.stderr) == (
+            3, "", "error: LP of 9999 rows, 9999 columns exceeds tableau guard 120,000\n"
+        )
 
     def test_huge_table_ground_is_input_error(self, tmp_path, capsys):
         # the entry count is compared with 2^ground without forming 1 << ground

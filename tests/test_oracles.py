@@ -99,12 +99,13 @@ class TestAudit:
         assert report.witnesses["monotone"] == {"A": [0], "B": [0, 1]}
 
     def test_value_of_the_empty_set_is_audited(self):
-        # the value cache answers f(empty) = 0 without asking the function
+        # f(empty) is asked of the function like every other value
         class Shifted(ValuationOracle):
             kind = "shifted"
+            _den = 1
 
-            def _value_mask(self, mask):
-                return F(1 + bin(mask).count("1"))
+            def _value_num(self, mask):
+                return 1 + bin(mask).count("1")
 
         report = audit_properties(Shifted(2))
         assert report.monotone and report.submodular
