@@ -13,16 +13,18 @@ every positive-weight agent fits under the cap together with its whole
 in-neighborhood; otherwise (fractional LP optimum, smallest case an induced
 5-cycle) a valid u-block table is synthesized by exact interval propagation
 over all submodularity constraints, on integer numerators over the lcm of
-the weights' denominators.  Either way the returned instance is certified
-by actually running the greedy engine.  The probe solves each draw on
-action masks and integers and builds an ``Instance`` only for a new
-minimum.
+the weights' denominators.  Every construction ends in the same step,
+``_certified``: build the instance, run the greedy engine on it, and return
+it only if it realizes the predicted ratio exactly.  A certificate keeps no
+reference to its graph, so storing it with the graph's other facts forms no
+reference cycle.  The probe solves each draw on action masks and integers
+and builds an ``Instance`` only for a new minimum.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -34,7 +36,7 @@ from .errors import (
     InputError,
     InternalConsistencyError,
 )
-from .graphs import InfoGraph, _mask, _out_mask, exact_numbers, sibling_property
+from .graphs import InfoGraph, _induced, _mask, _out_mask, exact_numbers, sibling_property
 from .greedy import (
     BRANCH_GUARD,
     PROFILE_GUARD,
@@ -70,9 +72,8 @@ class BoundsReport:
 @dataclass(frozen=True)
 class WorstCaseInstance:
     instance: Instance
-    graph: InfoGraph
     predicted_gamma: Fraction
-    construction: str  # "canonical_upper" | "sibling_lower" | "handcrafted"
+    construction: str  # "canonical_upper" | "sibling_lower"
     realized: EfficiencyReport
 
 
@@ -134,17 +135,21 @@ def upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
 
     The certificate is built once per graph and kept with its other facts.
     """
-    return _stored_certificate(g, "upper_bound_instance", _build_upper_bound_instance)
+    return g._fact("upper_bound_instance", _build_upper_bound_instance)
 
 
-def _stored_certificate(g: InfoGraph, name: str, build) -> WorstCaseInstance:
-    """``build(g)``, computed once per graph and kept with its other facts.
-
-    The stored copy leaves out its ``graph`` field, so the graph and its
-    facts form no reference cycle and are freed as soon as the graph is.
-    """
-    cert = g._fact(name, lambda g: replace(build(g), graph=None))
-    return replace(cert, graph=g)
+def _certified(g: InfoGraph, oracle, actions, predicted: Fraction,
+               construction: str, what: str) -> WorstCaseInstance:
+    """The instance ``oracle`` x ``actions``, returned only once the greedy
+    engine realizes exactly ``predicted`` on it under ``g``; ``what`` names
+    it in the internal-consistency failure raised otherwise."""
+    inst = make_instance(oracle, actions)
+    realized = efficiency(inst, g)
+    if realized.gamma != predicted:
+        raise InternalConsistencyError(
+            f"{what} realized {realized.gamma}, predicted {predicted}"
+        )
+    return WorstCaseInstance(inst, predicted, construction, realized)
 
 
 def _build_upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
@@ -172,16 +177,9 @@ def _build_upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
             oracle = TwoBlockOracle(table, z)
         except InfeasibleLpError:
             return _padded_sibling_upper(g, a_star)
-    n = g.n
-    actions = [[[i - 1], [n + i - 1]] for i in range(1, n + 1)]
-    inst = make_instance(oracle, actions)
-    predicted = 1 / a_star
-    realized = efficiency(inst, g)
-    if realized.gamma != predicted:
-        raise InternalConsistencyError(
-            f"upper-bound instance realized {realized.gamma}, predicted {predicted}"
-        )
-    return WorstCaseInstance(inst, g, predicted, "canonical_upper", realized)
+    actions = [[[i - 1], [g.n + i - 1]] for i in range(1, g.n + 1)]
+    return _certified(g, oracle, actions, 1 / a_star, "canonical_upper",
+                      "upper-bound instance")
 
 
 def _padded_sibling_upper(g: InfoGraph, a_star: Fraction) -> WorstCaseInstance:
@@ -196,23 +194,14 @@ def _padded_sibling_upper(g: InfoGraph, a_star: Fraction) -> WorstCaseInstance:
         raise InternalConsistencyError(
             "no certified construction reaches 1/a* on this graph"
         )
-    base = sibling_instance(g)
+    base = sibling_instance(g).instance
     beta = (1 + nums.alpha - a_star) / (a_star - 1)
-    old = base.instance.oracle
-    values = list(old.values) + [beta]
-    pad = len(old.values)
-    oracle = build_wsc(values)
-    actions = [
-        [sorted(a | {pad}) for a in base.instance.actions[0]]
-    ] + [[sorted(a) for a in acts] for acts in base.instance.actions[1:]]
-    inst = make_instance(oracle, actions)
-    predicted = 1 / a_star
-    realized = efficiency(inst, g)
-    if realized.gamma != predicted:
-        raise InternalConsistencyError(
-            f"padded upper-bound instance realized {realized.gamma}, predicted {predicted}"
-        )
-    return WorstCaseInstance(inst, g, predicted, "canonical_upper", realized)
+    pad = len(base.oracle.values)
+    oracle = build_wsc([*base.oracle.values, beta])
+    first, *rest = base.actions
+    actions = [[sorted(a | {pad}) for a in first]] + [[sorted(a) for a in acts] for acts in rest]
+    return _certified(g, oracle, actions, 1 / a_star, "canonical_upper",
+                      "padded upper-bound instance")
 
 
 def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
@@ -238,8 +227,6 @@ def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
     w_full = [Fraction(x) for x in weights]
     support = [i for i in range(1, g.n + 1) if w_full[i - 1] != 0]
     if len(support) < g.n:
-        from .graphs import _induced
-
         sub = _induced(g, support)
         sub_table = _synthesize_dense(sub, [w_full[i - 1] for i in support])
         table: dict[int, Fraction] = {}
@@ -409,25 +396,18 @@ def sibling_instance(g: InfoGraph) -> WorstCaseInstance:
 
     The instance is built once per graph and kept with its other facts.
     """
-    return _stored_certificate(g, "sibling_instance", _build_sibling_instance)
+    return g._fact("sibling_instance", _build_sibling_instance)
 
 
 def _build_sibling_instance(g: InfoGraph) -> WorstCaseInstance:
     verdict = sibling_property(g)
     if not verdict:
         raise InputError("graph lacks the sibling property")
-    nums = exact_numbers(g)
-    alpha = nums.alpha
-
-    chosen = None
-    for jset, _, w in verdict.witnesses:
-        if _out_mask(g, w) & _mask(jset) == 0:
-            chosen = (jset, w, False)
-            break
-    if chosen is None:
-        jset, _, w = verdict.witnesses[0]
-        chosen = (jset, w, True)
-    jset, w, decoy = chosen
+    # the first witness whose w no member of J observes, else the first one
+    jset, _, w = next((wit for wit in verdict.witnesses
+                       if _out_mask(g, wit[2]) & _mask(wit[0]) == 0),
+                      verdict.witnesses[0])
+    decoy = _out_mask(g, w) & _mask(jset) != 0
 
     n = g.n
     values = [ONE if (i in jset or i == w) else ZERO for i in range(1, n + 1)]
@@ -442,14 +422,8 @@ def _build_sibling_instance(g: InfoGraph) -> WorstCaseInstance:
             actions.append([[w - 1], [n]] if decoy else [[w - 1]])
         else:
             actions.append([[i - 1]])
-    inst = make_instance(oracle, actions)
-    predicted = Fraction(1, 1 + alpha)
-    realized = efficiency(inst, g)
-    if realized.gamma != predicted:
-        raise InternalConsistencyError(
-            f"sibling instance realized {realized.gamma}, predicted {predicted}"
-        )
-    return WorstCaseInstance(inst, g, predicted, "sibling_lower", realized)
+    predicted = Fraction(1, 1 + exact_numbers(g).alpha)
+    return _certified(g, oracle, actions, predicted, "sibling_lower", "sibling instance")
 
 
 # ---------------------------------------------------------------------------
@@ -526,14 +500,11 @@ def adversarial_search(g: InfoGraph, budget: int = 2000, seed: int = 0) -> Searc
             masks.append([sum(1 << e for e in a) for a in acts])
         oracle = build_wsc(values)
         try:
-            opt_union, _, choice_idx = _efficiency_core(
+            opt_union, _, _, sol_union = _efficiency_core(
                 oracle, masks, g, BRANCH_GUARD, PROFILE_GUARD
             )
         except DegenerateInstanceError:
             continue  # actions only reach worthless targets; ratio undefined
-        sol_union = 0
-        for acts, idx in zip(masks, choice_idx):
-            sol_union |= acts[idx]
         # every drawn value is a nonnegative integer, so opt > 0 here
         consider(oracle.value_num(sol_union), oracle.value_num(opt_union),
                  lambda: make_instance(oracle, actions))

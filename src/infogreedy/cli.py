@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .bounds import adversarial_search, efficiency_bounds, sibling_instance, upper_bound_instance
 from .design import CASE_TURAN, DESIGN_GUARD, efficiency_curve, optimal_structure
 from .errors import exit_code_for
 from .graphs import analyze_graph, complete_graph, sibling_property, to_dot
-from .greedy import brute_force_opt, run_generalized_greedy
+from .greedy import POLICIES, brute_force_opt, run_generalized_greedy
 from .lp import alpha_star
 from .oracles import audit_properties
 from .serialize import (
@@ -38,10 +37,6 @@ def _write(args, text: str):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _frac(value: Fraction) -> str:
-    return str(Fraction(value))
 
 
 def cmd_analyze(args) -> int:
@@ -85,8 +80,8 @@ def cmd_analyze(args) -> int:
             f"alpha                  {analysis.alpha}",
             f"clique cover k         {analysis.k}",
             f"omega                  {analysis.omega}",
-            f"alpha* = k*            {_frac(analysis.alpha_star)}",
-            f"efficiency bracket     [{_frac(bounds.lower)}, {_frac(bounds.upper)}]",
+            f"alpha* = k*            {analysis.alpha_star}",
+            f"efficiency bracket     [{bounds.lower}, {bounds.upper}]",
             f"sibling property       {'yes' if analysis.sibling else 'no'}",
         ]
         if analysis.sibling.witness:
@@ -95,7 +90,7 @@ def cmd_analyze(args) -> int:
                 f"sibling witness        J={sorted(jset)}, member {i} observed by {w}"
             )
         if bounds.sibling_upper is not None:
-            lines.append(f"sibling upper bound    {_frac(bounds.sibling_upper)}")
+            lines.append(f"sibling upper bound    {bounds.sibling_upper}")
         tight = [name for name, flag in bounds.tight.items() if flag]
         lines.append(f"certified tight        {', '.join(tight) if tight else 'none known'}")
         lines.append(
@@ -109,10 +104,9 @@ def cmd_analyze(args) -> int:
 def cmd_solve(args) -> int:
     g = parse_graph(args.graph)
     inst = parse_instance(args.instance)
-    policy = {"worst": "worst", "first": "first", "random": "random"}[args.tie]
     opt = brute_force_opt(inst)
-    full = run_generalized_greedy(inst, complete_graph(g.n), policy, seed=args.seed)
-    constrained = run_generalized_greedy(inst, g, policy, seed=args.seed)
+    full = run_generalized_greedy(inst, complete_graph(g.n), args.tie, seed=args.seed)
+    constrained = run_generalized_greedy(inst, g, args.tie, seed=args.seed)
     gamma = constrained.value / opt.value if opt.value else None
 
     def fmt_profile(profile):
@@ -150,9 +144,9 @@ def cmd_solve(args) -> int:
         lines = []
         for name, profile, value in rows:
             cells = " ".join("{" + ",".join(map(str, sorted(a))) + "}" for a in profile)
-            lines.append(f"{name:<{width}}  {cells}  ->  {_frac(value)}")
+            lines.append(f"{name:<{width}}  {cells}  ->  {value}")
         if gamma is not None:
-            lines.append(f"efficiency ratio: {_frac(gamma)}")
+            lines.append(f"efficiency ratio: {gamma}")
         _write(args, "\n".join(lines) + "\n")
     if args.trace:
         trace_obj = {
@@ -174,26 +168,24 @@ def cmd_solve(args) -> int:
     return 0
 
 
+def _certificate_obj(cert) -> dict:
+    return {
+        "construction": cert.construction,
+        "predicted_gamma": format_rational(cert.predicted_gamma),
+        "realized_gamma": format_rational(cert.realized.gamma),
+        "instance": instance_to_obj(cert.instance),
+    }
+
+
 def cmd_worst_case(args) -> int:
     g = parse_graph(args.graph)
     upper = upper_bound_instance(g)
     obj = {
         "alpha_star": format_rational(alpha_star(g)),
-        "upper_bound_instance": {
-            "construction": upper.construction,
-            "predicted_gamma": format_rational(upper.predicted_gamma),
-            "realized_gamma": format_rational(upper.realized.gamma),
-            "instance": instance_to_obj(upper.instance),
-        },
+        "upper_bound_instance": _certificate_obj(upper),
     }
     if sibling_property(g).has_property:
-        sib = sibling_instance(g)
-        obj["sibling_instance"] = {
-            "construction": sib.construction,
-            "predicted_gamma": format_rational(sib.predicted_gamma),
-            "realized_gamma": format_rational(sib.realized.gamma),
-            "instance": instance_to_obj(sib.instance),
-        }
+        obj["sibling_instance"] = _certificate_obj(sibling_instance(g))
     if args.budget:
         result = adversarial_search(g, budget=args.budget, seed=args.seed)
         obj["adversarial_probe"] = {
@@ -226,7 +218,7 @@ def cmd_design(args) -> int:
         lines = [
             f"design for n={args.n}, edge budget m={args.m}: {result.case_tag}",
             f"edges used          {result.m_used}",
-            f"guaranteed ratio    {_frac(result.gamma_guaranteed)}",
+            f"guaranteed ratio    {result.gamma_guaranteed}",
             f"edges               {result.graph.sorted_edges()}",
         ]
         if result.partition:
@@ -300,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the greedy rows against the optimum")
     p.add_argument("--graph", required=True)
     p.add_argument("--instance", required=True)
-    p.add_argument("--tie", choices=("worst", "first", "random"), default="worst")
+    p.add_argument("--tie", choices=POLICIES, default="worst")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace", help="write a per-agent decision trace to this path")
     p.add_argument("--format", choices=("table", "json"), default="table")

@@ -259,14 +259,14 @@ def _min_clique_cover(g: InfoGraph) -> int:
     return solve((1 << g.n) - 1)
 
 
-def _refuse_past(g: InfoGraph, guard: int):
-    if g.n > guard:
-        raise GuardRefusal(f"n={g.n} exceeds exhaustive guard {guard}")
+def _refuse_past(g: InfoGraph):
+    if g.n > EXACT_GUARD:
+        raise GuardRefusal(f"n={g.n} exceeds exhaustive guard {EXACT_GUARD}")
 
 
-def exact_numbers(g: InfoGraph, guard: int = EXACT_GUARD) -> ExactNumbers:
+def exact_numbers(g: InfoGraph) -> ExactNumbers:
     """alpha, minimum clique cover, clique number, and all maximum independent sets."""
-    _refuse_past(g, guard)
+    _refuse_past(g)
     return g._fact("numbers", _find_exact_numbers)
 
 
@@ -298,7 +298,7 @@ class SiblingVerdict:
         return self.has_property
 
 
-def sibling_property(g: InfoGraph, guard: int = EXACT_GUARD) -> SiblingVerdict:
+def sibling_property(g: InfoGraph) -> SiblingVerdict:
     """Does some maximum independent set J have a member observed from outside?
 
     Returns every witness triple (J, i, w) with i in J observed by w outside
@@ -310,12 +310,12 @@ def sibling_property(g: InfoGraph, guard: int = EXACT_GUARD) -> SiblingVerdict:
     outside vertex at all, so the property is absent and the audit of the
     outside-facing consequences is vacuous.
     """
-    _refuse_past(g, guard)
-    return g._fact("sibling", lambda g: _find_sibling_verdict(g, guard))
+    _refuse_past(g)
+    return g._fact("sibling", _find_sibling_verdict)
 
 
-def _find_sibling_verdict(g: InfoGraph, guard: int) -> SiblingVerdict:
-    nums = exact_numbers(g, guard)
+def _find_sibling_verdict(g: InfoGraph) -> SiblingVerdict:
+    nums = exact_numbers(g)
     witnesses: list[tuple[frozenset[int], int, int]] = []
     for jset in nums.max_independent_sets:
         jmask = _mask(jset)
@@ -338,7 +338,7 @@ def _find_sibling_verdict(g: InfoGraph, guard: int) -> SiblingVerdict:
             bool(jmask >> (g.n - 1) & 1) and (g.n < 2 or bool(jmask >> (g.n - 2) & 1))
         )
         sub = _induced(g, outside)
-        audit["alpha_drops"] = exact_numbers(sub, guard).alpha < nums.alpha
+        audit["alpha_drops"] = exact_numbers(sub).alpha < nums.alpha
         audit["outside_double_links"] = all(
             bin(_out_mask(g, w) & jmask).count("1") >= 2 for w in outside
         )
@@ -379,10 +379,10 @@ class GraphAnalysis:
     sibling: SiblingVerdict
 
 
-def analyze_graph(g: InfoGraph, guard: int = EXACT_GUARD) -> GraphAnalysis:
+def analyze_graph(g: InfoGraph) -> GraphAnalysis:
     from .lp import alpha_star, k_star  # deferred; lp imports this module
 
-    nums = exact_numbers(g, guard)
+    nums = exact_numbers(g)
     return GraphAnalysis(
         alpha=nums.alpha,
         k=nums.k,
@@ -391,7 +391,7 @@ def analyze_graph(g: InfoGraph, guard: int = EXACT_GUARD) -> GraphAnalysis:
         k_star=k_star(g),
         max_independent_sets=nums.max_independent_sets,
         maximal_cliques=_cliques(g),
-        sibling=sibling_property(g, guard),
+        sibling=sibling_property(g),
     )
 
 

@@ -8,6 +8,9 @@ Tie handling is the whole story for worst-case analysis: the efficiency ratio
 is defined against the worst candidate solution over every chain of argmax
 tie breaks, so the "worst" policy enumerates all branches exhaustively (with
 memoization on what the future can still observe) rather than sampling.
+Every policy then runs the same one pass, which differs only in how an
+agent picks among its tied actions: "worst" reads the search's choice
+vector, "first" takes the earliest, "random" draws from a seeded generator.
 All comparisons are exact; there are no epsilon ties.  They read the
 oracle's ``value_num``, an integer numerator over the oracle's one fixed
 denominator, and Fractions are built only for the values handed back: the
@@ -97,27 +100,19 @@ def run_generalized_greedy(
         raise InputError(f"unknown tie policy {policy!r}")
     if g.n != inst.n:
         raise InputError(f"graph has {g.n} agents but instance has {inst.n}")
-    oracle = inst.oracle
     masks = inst.action_masks()
-    n = inst.n
-
+    explored = 1
     if policy == "worst":
-        choice_idx, explored = _worst_case_choices(oracle, n, g, masks, max_branches)
+        choice_idx, explored = _worst_case_choices(
+            inst.oracle, inst.n, g, masks, max_branches
+        )
+        choose = lambda i, tied: choice_idx[i]
+    elif policy == "first":
+        choose = lambda i, tied: tied[0]
     else:
         rng = random.Random(seed)
-        choice_idx = []
-        chosen_masks: list[int] = []
-        for i in range(1, n + 1):
-            observed = 0
-            for j_bit in _bits(g.in_masks[i]):
-                observed |= chosen_masks[j_bit]
-            tied = _argmax_actions(oracle, masks[i - 1], observed)
-            pick = tied[0] if policy == "first" else rng.choice(tied)
-            choice_idx.append(pick)
-            chosen_masks.append(masks[i - 1][pick])
-        explored = 1
-
-    return _replay(inst, g, masks, choice_idx, explored)
+        choose = lambda i, tied: rng.choice(tied)
+    return _replay(inst, g, masks, choose, explored)
 
 
 def _tie_lists(g: InfoGraph):
@@ -188,8 +183,9 @@ def _worst_case_choices(oracle, n, g, masks, max_branches) -> tuple[list[int], i
     return list(choice_vec), counter[0]
 
 
-def _replay(inst, g, masks, choice_idx, explored) -> GreedyOutcome:
-    """Rebuild the per-agent trace for a fixed choice vector."""
+def _replay(inst, g, masks, choose, explored) -> GreedyOutcome:
+    """The greedy pass with its per-agent trace: agent i (0-based) takes
+    ``choose(i, tied)`` among its argmax actions ``tied``."""
     oracle = inst.oracle
     trace = []
     union = 0
@@ -198,23 +194,22 @@ def _replay(inst, g, masks, choice_idx, explored) -> GreedyOutcome:
         observed = 0
         for j_bit in _bits(g.in_masks[i]):
             observed |= chosen_masks[j_bit]
-        tied = _argmax_actions(oracle, masks[i - 1], observed)
+        acts = masks[i - 1]
+        tied = _argmax_actions(oracle, acts, observed)
         base = oracle.value_mask(observed)
-        pick = choice_idx[i - 1]
+        pick = choose(i - 1, tied)
         trace.append(
             AgentTrace(
                 agent=i,
                 observed=frozenset(_bits(observed)),
-                marginals=tuple(
-                    oracle.value_mask(a | observed) - base for a in masks[i - 1]
-                ),
+                marginals=tuple(oracle.value_mask(a | observed) - base for a in acts),
                 tied=tuple(tied),
                 chosen=pick,
             )
         )
-        chosen_masks.append(masks[i - 1][pick])
-        union |= masks[i - 1][pick]
-    profile = tuple(inst.actions[i][choice_idx[i]] for i in range(inst.n))
+        chosen_masks.append(acts[pick])
+        union |= acts[pick]
+    profile = tuple(acts[t.chosen] for acts, t in zip(inst.actions, trace))
     return GreedyOutcome(profile, oracle.value_mask(union), explored, tuple(trace))
 
 
@@ -274,8 +269,8 @@ def _union_optimum(oracle, masks, max_profiles) -> tuple[int, list[int]]:
 
 
 def _efficiency_core(oracle, masks, g, max_branches, max_profiles):
-    """The optimum's union, its profile's action indices and the worst
-    choice vector of an instance given as action masks.
+    """The optimum's union, its profile's action indices, the worst choice
+    vector and its union, of an instance given as action masks.
 
     The refusals come in a fixed order: the profile guard, a zero optimum,
     a graph of the wrong size, then the tie engine's own guards.
@@ -289,7 +284,10 @@ def _efficiency_core(oracle, masks, g, max_branches, max_profiles):
     if g.n != n:
         raise InputError(f"graph has {g.n} agents but instance has {n}")
     choice_idx, _ = _worst_case_choices(oracle, n, g, masks, max_branches)
-    return opt_union, opt_picks, choice_idx
+    sol_union = 0
+    for acts, idx in zip(masks, choice_idx):
+        sol_union |= acts[idx]
+    return opt_union, opt_picks, choice_idx, sol_union
 
 
 def efficiency(
@@ -303,13 +301,9 @@ def efficiency(
     Only the worst choice vector is needed, so no per-agent trace is built.
     """
     oracle = inst.oracle
-    masks = inst.action_masks()
-    opt_union, opt_picks, choice_idx = _efficiency_core(
-        oracle, masks, g, max_branches, max_profiles
+    opt_union, opt_picks, choice_idx, sol_union = _efficiency_core(
+        oracle, inst.action_masks(), g, max_branches, max_profiles
     )
-    sol_union = 0
-    for acts, idx in zip(masks, choice_idx):
-        sol_union |= acts[idx]
     return EfficiencyReport(
         gamma=Fraction(oracle.value_num(sol_union), oracle.value_num(opt_union)),
         opt_value=oracle.value_mask(opt_union),

@@ -109,9 +109,6 @@ class ValuationOracle:
     def value(self, subset: Iterable[int]) -> Fraction:
         return self.value_mask(mask_of(subset, self.ground_size))
 
-    def marginal_mask(self, action: int, base: int) -> Fraction:
-        return self.value_mask(action | base) - self.value_mask(base)
-
     def to_params(self) -> dict:
         """JSON-ready parameters; inverse of serialize.oracle_from_obj."""
         raise NotImplementedError
@@ -331,7 +328,7 @@ def marginal(oracle: ValuationOracle, action: Iterable[int], base: Iterable[int]
     """f(action | base) = f(action + base) - f(base)."""
     a = mask_of(action, oracle.ground_size)
     b = mask_of(base, oracle.ground_size)
-    return oracle.marginal_mask(a, b)
+    return oracle.value_mask(a | b) - oracle.value_mask(b)
 
 
 def build_wsc(values: Sequence[Fraction]) -> WeightedSetCoverOracle:
@@ -433,12 +430,13 @@ def _first_below(left: list, right: list) -> int:
     return next(k for k, (a, b) in enumerate(zip(left, right)) if a < b)
 
 
-def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> AuditReport:
+def audit_properties(oracle: ValuationOracle) -> AuditReport:
     """Exhaustively audit normalization, monotonicity, and diminishing returns.
 
-    Refuses (rather than samples) above the guard: a sampled pass would be a
-    false certificate.  Monotonicity is checked on all single-element
-    extensions, which by transitivity covers every nested pair.  Diminishing
+    Refuses (rather than samples) above ``AUDIT_GUARD``, read on every call:
+    a sampled pass would be a false certificate.  Monotonicity is checked on
+    all single-element extensions, which by transitivity covers every nested
+    pair.  Diminishing
     returns is checked in the equivalent pair form
     f(A+x) + f(A+y) >= f(A+x+y) + f(A), whose failure yields the witness
     triple (A, B=A+y, x).
@@ -450,9 +448,9 @@ def audit_properties(oracle: ValuationOracle, guard: int = AUDIT_GUARD) -> Audit
     witness an A-then-x-then-y loop finds first.
     """
     m = oracle.ground_size
-    if m > guard:
+    if m > AUDIT_GUARD:
         raise GuardRefusal(
-            f"ground set of size {m} exceeds exhaustive audit guard {guard}"
+            f"ground set of size {m} exceeds exhaustive audit guard {AUDIT_GUARD}"
         )
     witnesses: dict = {}
     values = list(map(oracle.value_num, range(1 << m)))

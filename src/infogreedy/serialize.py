@@ -113,14 +113,11 @@ def oracle_to_obj(oracle: ValuationOracle) -> dict:
     for key in ("values", "probs", "weights"):
         if key in params:
             out[key] = [format_rational(v) for v in params[key]]
-    if "u_table" in params:
-        out["u_table"] = {
-            str(mask): format_rational(v) for mask, v in sorted(params["u_table"].items())
-        }
-    if "table" in params:
-        out["table"] = {
-            str(mask): format_rational(v) for mask, v in sorted(params["table"].items())
-        }
+    for key in ("u_table", "table"):
+        if key in params:
+            out[key] = {
+                str(mask): format_rational(v) for mask, v in sorted(params[key].items())
+            }
     if "ground" in params:
         out["ground"] = params["ground"]
     return out
@@ -204,12 +201,14 @@ def parse_instance(path) -> Instance:
 
 def _load(path) -> Any:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")  # as RFC 8259 says, whatever the locale
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 ({exc})") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too deep, or too many digits
         raise InputError(f"{path}: invalid JSON ({exc})") from exc
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import infogreedy.bounds as bounds_mod
 import infogreedy.graphs as graphs_mod
 import infogreedy.lp as lp_mod
 from infogreedy import (
@@ -13,7 +14,9 @@ from infogreedy import (
     InfoGraph,
     InputError,
     adversarial_search,
+    alpha_star_solution,
     audit_properties,
+    capped_sum_tie_safe,
     complete_graph,
     efficiency,
     efficiency_bounds,
@@ -95,6 +98,27 @@ class TestUpperBoundInstance:
         assert cert.realized.gamma == F(2, 5)
         assert cert.instance.oracle.kind == "wsc"
 
+    def test_degenerate_face_takes_an_independent_set_indicator(self, monkeypatch):
+        # the LP stops at the all-1/2 vertex, which is not tie-safe, but
+        # alpha = a* = 3, so the indicator of the first maximum independent
+        # set {1, 2, 6} is optimal too and the capped sum needs no synthesis
+        def refuse(*args):
+            raise AssertionError("table synthesis was called")
+
+        monkeypatch.setattr(bounds_mod, "synthesize_shared_table", refuse)
+        g = InfoGraph(6, [(1, 3), (1, 5), (2, 4), (2, 5), (3, 4), (3, 6)])
+        a_star, z = alpha_star_solution(g)
+        assert a_star == exact_numbers(g).alpha == 3
+        assert z == (F(1, 2),) * 6
+        assert not capped_sum_tie_safe(z, g)
+        cert = upper_bound_instance(g)
+        oracle = cert.instance.oracle
+        assert oracle.kind == "capped_sum"
+        assert tuple(oracle.weights) == (1, 1, 0, 0, 0, 1)
+        assert cert.predicted_gamma == cert.realized.gamma == F(1, 3)
+        assert oracle.ground_size == 12
+        assert audit_properties(oracle).ok
+
     def test_crossed_cycle_tie_system_provably_infeasible(self):
         z = (F(1, 2),) * 5
         with pytest.raises(InfeasibleLpError):
@@ -135,7 +159,7 @@ class TestUpperBoundInstance:
         g = InfoGraph(5, FIVE_CYCLE.edges)
         for construct in (upper_bound_instance, sibling_instance):
             first, again = construct(g), construct(g)
-            assert again == first and again.graph is g
+            assert again == first
             assert again.instance is first.instance
             assert construct(FIVE_CYCLE).instance is not first.instance
 

@@ -373,6 +373,26 @@ class TestContracts:
         bad.write_text('{"n": 3, "edges": [[3, 1]]}')
         assert main(["analyze", "--graph", str(bad)]) == 2
 
+    def test_deeply_nested_json_is_input_error(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        assert main(["analyze", "--graph", str(deep)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {deep}: invalid JSON (")
+
+    def test_file_that_is_not_utf8_is_input_error(self, tmp_path, capsys):
+        # JSON text is UTF-8 (RFC 8259), whatever the locale says
+        latin = tmp_path / "latin.json"
+        latin.write_bytes(b'{"n": 1, "edges": [], "note": "caf\xe9"}')
+        for argv in (["analyze", "--graph", str(latin)], ["audit", "--instance", str(latin)]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err.startswith(f"error: {latin}: not UTF-8 (")
+
+    def test_integer_past_the_digit_limit_is_input_error(self, tmp_path, capsys):
+        huge = tmp_path / "huge_n.json"
+        huge.write_text('{"n": ' + "1" * 5000 + ', "edges": []}')
+        assert main(["analyze", "--graph", str(huge)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {huge}: invalid JSON (")
+
     def test_guard_refusal_code(self, monkeypatch, tmp_path, capsys):
         solved = _count_solves(monkeypatch)
         big = tmp_path / "big.json"

@@ -246,11 +246,12 @@ class TestStoredFacts:
             verdict.audit["unique_maximum"] = False
         assert verdict.audit["unique_maximum"]
 
-    def test_guard_is_checked_before_the_stored_value(self):
+    def test_guard_is_checked_before_the_stored_value(self, monkeypatch):
         g = InfoGraph(5, FIVE_CYCLE)
         exact_numbers(g)
         sibling_property(g)
+        monkeypatch.setattr(graphs_mod, "EXACT_GUARD", 4)
         with pytest.raises(GuardRefusal):
-            exact_numbers(g, guard=4)
+            exact_numbers(g)
         with pytest.raises(GuardRefusal):
-            sibling_property(g, guard=4)
+            sibling_property(g)

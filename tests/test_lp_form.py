@@ -16,6 +16,7 @@ import pytest
 import infogreedy.lp as lp_mod
 from infogreedy import GuardRefusal, InfoGraph, LinearProgram, maximal_cliques, solve_lp
 from infogreedy.lp import LP_GUARD, cover_lp, independence_lp
+from infogreedy.verify import labelled_graphs
 from conftest import all_pairs, random_graph, unlabeled_classes
 
 F = Fraction
@@ -36,13 +37,6 @@ def reference_cover_lp(g: InfoGraph) -> LinearProgram:
 def derived(lp: LinearProgram) -> LinearProgram:
     """The same LP with its integer form derived from its Fraction fields."""
     return LinearProgram(lp.objective, lp.rows, lp.rhs, lp.sense)
-
-
-def labelled_graphs(max_n: int):
-    for n in range(1, max_n + 1):
-        pairs = all_pairs(n)
-        for mask in range(1 << len(pairs)):
-            yield InfoGraph(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
 
 
 def cycles_and_antiholes(rng: random.Random):
@@ -70,7 +64,7 @@ def assert_mask_built_matches_reference(g: InfoGraph):
 
 class TestMaskBuiltForm:
     def test_every_labelled_graph_up_to_five_agents(self):
-        graphs = list(labelled_graphs(5))
+        graphs = [g for n in range(1, 6) for g in labelled_graphs(n)]
         assert len(graphs) == 1099
         for g in graphs:
             assert_mask_built_matches_reference(g)
