@@ -38,10 +38,8 @@ from .errors import (
 )
 from .graphs import (
     ExactNumbers,
-    GraphAnalysis,
     InfoGraph,
     SiblingVerdict,
-    analyze_graph,
     complete_graph,
     edgeless_graph,
     exact_numbers,

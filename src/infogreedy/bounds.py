@@ -27,7 +27,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import (
     DegenerateInstanceError,
@@ -48,6 +47,7 @@ from .lp import alpha_star, alpha_star_solution
 from .oracles import (
     Instance,
     TwoBlockOracle,
+    _scaled,
     build_capped_sum,
     build_wsc,
     capped_sum_tie_safe,
@@ -58,6 +58,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 SYNTHESIS_GUARD = 10
+# probes per adversarial search; 10,000 probes on G(16, 1/2) take about 25 s
+BUDGET_GUARD = 10_000
 
 
 @dataclass(frozen=True)
@@ -78,11 +80,7 @@ class WorstCaseInstance:
 
 
 def _is_clique_minus_last_edge(g: InfoGraph) -> bool:
-    if g.n < 2:
-        return False
-    missing = [(i, j) for i in range(1, g.n + 1) for j in range(i + 1, g.n + 1)
-               if (i, j) not in g.edges]
-    return missing == [(g.n - 1, g.n)]
+    return g.m == g.n * (g.n - 1) // 2 - 1 and (g.n - 1, g.n) not in g.edges
 
 
 def efficiency_bounds(g: InfoGraph) -> BoundsReport:
@@ -158,18 +156,18 @@ def _build_upper_bound_instance(g: InfoGraph) -> WorstCaseInstance:
     a_star, z = alpha_star_solution(g)
     if sum(z, ZERO) != a_star or a_star < 1:
         raise InternalConsistencyError("clique LP returned a non-optimal point")
-    if not capped_sum_tie_safe(z, g):
+    tie_safe = capped_sum_tie_safe(z, g)
+    if not tie_safe:
         nums = exact_numbers(g)
         if nums.alpha == a_star:
             # the LP landed on a fractional vertex of a degenerate optimal
             # face; the indicator of a maximum independent set is optimal
-            # too and always tie-safe
-            jmask = _mask(nums.max_independent_sets[0])
-            z = tuple(
-                ONE if jmask >> i & 1 else ZERO for i in range(g.n)
-            )
+            # too, and tie-safe since no member observes another
+            jset = nums.max_independent_sets[0]
+            z = tuple(ONE if i in jset else ZERO for i in range(1, g.n + 1))
+            tie_safe = True
 
-    if capped_sum_tie_safe(z, g):
+    if tie_safe:
         oracle = build_capped_sum(z, g)
     else:
         try:
@@ -230,12 +228,11 @@ def synthesize_shared_table(g: InfoGraph, weights) -> dict[int, Fraction]:
         sub = _induced(g, support)
         sub_table = _synthesize_dense(sub, [w_full[i - 1] for i in support])
         table: dict[int, Fraction] = {}
-        pos = {i: idx for idx, i in enumerate(support)}
         for mask in range(1 << g.n):
             proj = 0
-            for i in support:
+            for idx, i in enumerate(support):
                 if mask >> (i - 1) & 1:
-                    proj |= 1 << pos[i]
+                    proj |= 1 << idx
             table[mask] = sub_table[proj]
         return table
     return _synthesize_dense(g, w_full)
@@ -266,8 +263,7 @@ def _synthesize_dense(g: InfoGraph, w: list[Fraction]) -> dict[int, Fraction]:
     if n > SYNTHESIS_GUARD:
         raise GuardRefusal(f"table synthesis guarded at n <= {SYNTHESIS_GUARD}")
     full = (1 << n) - 1
-    den = lcm(*(x.denominator for x in w))
-    w = [x.numerator * (den // x.denominator) for x in w]
+    den, w = _scaled(w)
 
     def wsum(mask: int) -> int:
         total = 0
@@ -451,6 +447,8 @@ def adversarial_search(g: InfoGraph, budget: int = 2000, seed: int = 0) -> Searc
         raise InputError("search needs at least one agent")
     if budget < 0:
         raise InputError(f"probe budget must be nonnegative, got {budget}")
+    if budget > BUDGET_GUARD:
+        raise GuardRefusal(f"probe budget {budget:,} exceeds the budget guard {BUDGET_GUARD:,}")
     rng = random.Random(seed)
     floor = efficiency_bounds(g).lower
 

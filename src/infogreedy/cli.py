@@ -13,12 +13,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .bounds import adversarial_search, efficiency_bounds, sibling_instance, upper_bound_instance
+from .bounds import (
+    BUDGET_GUARD,
+    adversarial_search,
+    efficiency_bounds,
+    sibling_instance,
+    upper_bound_instance,
+)
 from .design import CASE_TURAN, DESIGN_GUARD, efficiency_curve, optimal_structure
 from .errors import exit_code_for
-from .graphs import analyze_graph, complete_graph, sibling_property, to_dot
+from .graphs import complete_graph, exact_numbers, maximal_cliques, sibling_property, to_dot
 from .greedy import POLICIES, brute_force_opt, run_generalized_greedy
-from .lp import alpha_star
+from .lp import alpha_star, k_star
 from .oracles import audit_properties
 from .serialize import (
     curve_to_csv,
@@ -44,23 +50,24 @@ def cmd_analyze(args) -> int:
     if args.format == "dot":
         _write(args, to_dot(g))
         return 0
-    analysis = analyze_graph(g)
+    nums = exact_numbers(g)  # refuses past its guard before any other work
     bounds = efficiency_bounds(g)
+    sibling = sibling_property(g)
+    cliques = maximal_cliques(g)
     if args.format == "json":
         obj = {
             "graph": graph_to_obj(g),
-            "alpha": analysis.alpha,
-            "k": analysis.k,
-            "omega": analysis.omega,
-            "alpha_star": format_rational(analysis.alpha_star),
-            "k_star": format_rational(analysis.k_star),
-            "max_independent_sets": [sorted(s) for s in analysis.max_independent_sets],
-            "maximal_cliques": [sorted(c) for c in analysis.maximal_cliques],
-            "sibling": analysis.sibling.has_property,
+            "alpha": nums.alpha,
+            "k": nums.k,
+            "omega": nums.omega,
+            "alpha_star": format_rational(bounds.alpha_star),
+            "k_star": format_rational(k_star(g)),
+            "max_independent_sets": [sorted(s) for s in nums.max_independent_sets],
+            "maximal_cliques": [sorted(c) for c in cliques],
+            "sibling": sibling.has_property,
             "sibling_witness": (
-                [sorted(analysis.sibling.witness[0]),
-                 analysis.sibling.witness[1], analysis.sibling.witness[2]]
-                if analysis.sibling.witness else None
+                [sorted(sibling.witness[0]), sibling.witness[1], sibling.witness[2]]
+                if sibling.witness else None
             ),
             "bounds": {
                 "lower": format_rational(bounds.lower),
@@ -77,15 +84,15 @@ def cmd_analyze(args) -> int:
         lines = [
             f"agents                 {g.n}",
             f"edges                  {len(g.edges)}",
-            f"alpha                  {analysis.alpha}",
-            f"clique cover k         {analysis.k}",
-            f"omega                  {analysis.omega}",
-            f"alpha* = k*            {analysis.alpha_star}",
+            f"alpha                  {nums.alpha}",
+            f"clique cover k         {nums.k}",
+            f"omega                  {nums.omega}",
+            f"alpha* = k*            {bounds.alpha_star}",
             f"efficiency bracket     [{bounds.lower}, {bounds.upper}]",
-            f"sibling property       {'yes' if analysis.sibling else 'no'}",
+            f"sibling property       {'yes' if sibling else 'no'}",
         ]
-        if analysis.sibling.witness:
-            jset, i, w = analysis.sibling.witness
+        if sibling.witness:
+            jset, i, w = sibling.witness
             lines.append(
                 f"sibling witness        J={sorted(jset)}, member {i} observed by {w}"
             )
@@ -95,7 +102,7 @@ def cmd_analyze(args) -> int:
         lines.append(f"certified tight        {', '.join(tight) if tight else 'none known'}")
         lines.append(
             "maximal cliques        "
-            + ", ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in analysis.maximal_cliques)
+            + ", ".join("{" + ",".join(map(str, sorted(c))) + "}" for c in cliques)
         )
         _write(args, "\n".join(lines) + "\n")
     return 0
@@ -179,12 +186,14 @@ def _certificate_obj(cert) -> dict:
 
 def cmd_worst_case(args) -> int:
     g = parse_graph(args.graph)
-    upper = upper_bound_instance(g)
+    # the clique and tableau guards, then the exact guard, before any engine run
+    a_star = alpha_star(g)
+    sibling = sibling_property(g)
     obj = {
-        "alpha_star": format_rational(alpha_star(g)),
-        "upper_bound_instance": _certificate_obj(upper),
+        "alpha_star": format_rational(a_star),
+        "upper_bound_instance": _certificate_obj(upper_bound_instance(g)),
     }
-    if sibling_property(g).has_property:
+    if sibling.has_property:
         obj["sibling_instance"] = _certificate_obj(sibling_instance(g))
     if args.budget:
         result = adversarial_search(g, budget=args.budget, seed=args.seed)
@@ -301,7 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("worst-case", help="emit certified bound-achieving instances")
     p.add_argument("--graph", required=True)
     p.add_argument("--budget", type=int, default=0,
-                   help="extra adversarial probe budget (0 = skip, must be nonnegative)")
+                   help=f"extra adversarial probe budget (0 = skip, must be nonnegative), "
+                        f"at most {BUDGET_GUARD:,} (more is refused with exit 3)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
 

@@ -5,7 +5,6 @@ bad input, a refused oversized computation, and an internal cross-check
 failure apart.
 """
 
-EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4

@@ -13,19 +13,18 @@ The maximum independent sets come from it too, with no scan over subsets:
 the maximal independent sets of G are the maximal cliques of its
 complement, and the largest of them are the maximum ones.
 
-Each graph computes its facts at most once: the maximal cliques, the
-``ExactNumbers``, the ``SiblingVerdict``, (in ``lp``) the verified
-solution of the independence LP and (in ``bounds``) the certified ``1/a*``
-and sibling instances are computed on first use and kept on the graph
-itself, so every later caller reads the stored value and the facts go
-away with the graph.  Stored values are immutable; a size guard is checked
+Each graph computes its facts at most once: the maximal cliques (as
+bitmasks; ``maximal_cliques`` hands out frozensets), the ``ExactNumbers``,
+the ``SiblingVerdict``, (in ``lp``) the verified solution of the
+independence LP and (in ``bounds``) the certified ``1/a*`` and sibling
+instances are computed on first use and kept on the graph itself, so every
+later caller reads the stored value and the facts go away with the graph.  Stored values are immutable; a size guard is checked
 on every call, before the stored value is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -184,23 +183,24 @@ def _maximal_clique_masks(adj: Sequence[int], allowed: int) -> list[int]:
     return found
 
 
-def _find_maximal_cliques(g: InfoGraph) -> tuple[frozenset[int], ...]:
+def _find_maximal_cliques(g: InfoGraph) -> tuple[int, ...]:
     if g.n == 0:
         return ()
     masks = _maximal_clique_masks(g.adj_masks, (1 << g.n) - 1)
-    return tuple(sorted((_vertices(m) for m in masks), key=lambda c: (len(c), sorted(c))))
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), _bits(m))))
 
 
-def _cliques(g: InfoGraph) -> tuple[frozenset[int], ...]:
+def _cliques(g: InfoGraph) -> tuple[int, ...]:
+    """The maximal cliques as bitmasks, by size and then by their sorted members."""
     return g._fact("cliques", _find_maximal_cliques)
 
 
 def maximal_cliques(g: InfoGraph) -> list[frozenset[int]]:
     """All inclusion-maximal cliques of the undirected shadow, sorted.
 
-    A fresh list on every call; the graph keeps its own tuple.
+    A fresh list on every call; the graph keeps its own tuple of bitmasks.
     """
-    return list(_cliques(g))
+    return [_vertices(m) for m in _cliques(g)]
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +223,15 @@ def _max_independent_masks(g: InfoGraph) -> tuple[int, list[int]]:
     complement, so the clique enumerator lists them without a subset scan;
     the largest of them are the maximum independent sets.
     """
-    full = (1 << g.n) - 1
-    comp = [0] + [~a & full & ~(1 << v) for v, a in enumerate(g.adj_masks[1:])]
-    sets = _maximal_clique_masks(comp, full)
+    sets = _maximal_clique_masks(_complement(g), (1 << g.n) - 1)
     best = max(s.bit_count() for s in sets)
     return best, [s for s in sets if s.bit_count() == best]
+
+
+def _complement(g: InfoGraph) -> list[int]:
+    """The adjacency masks of the complement of the undirected shadow."""
+    full = (1 << g.n) - 1
+    return [0] + [~a & full & ~(1 << v) for v, a in enumerate(g.adj_masks[1:])]
 
 
 def _min_clique_cover(g: InfoGraph) -> int:
@@ -240,7 +244,7 @@ def _min_clique_cover(g: InfoGraph) -> int:
     branching on the restrictions through that vertex reaches the same
     minimum without enumerating cliques per subset.
     """
-    cliques = [_mask(c) for c in _cliques(g)]
+    cliques = _cliques(g)
     memo = {0: 0}
 
     def solve(mask: int) -> int:
@@ -271,14 +275,10 @@ def exact_numbers(g: InfoGraph) -> ExactNumbers:
 
 
 def _find_exact_numbers(g: InfoGraph) -> ExactNumbers:
-    if g.n == 0:
-        return ExactNumbers(0, 0, 0, (frozenset(),))
     alpha, ind_masks = _max_independent_masks(g)
     k = _min_clique_cover(g)
-    omega = max(len(c) for c in _cliques(g))
-    sets = tuple(
-        sorted((_vertices(m) for m in ind_masks), key=lambda s: sorted(s))
-    )
+    omega = max((c.bit_count() for c in _cliques(g)), default=0)
+    sets = tuple(sorted(map(_vertices, ind_masks), key=sorted))
     return ExactNumbers(alpha, k, omega, sets)
 
 
@@ -320,9 +320,7 @@ def _find_sibling_verdict(g: InfoGraph) -> SiblingVerdict:
     for jset in nums.max_independent_sets:
         jmask = _mask(jset)
         for w in range(1, g.n + 1):
-            if jmask >> (w - 1) & 1:
-                continue
-            hit = g.in_masks[w] & jmask
+            hit = g.in_masks[w] & jmask  # 0 for w in J, which is independent
             if hit:
                 witnesses.append((jset, (hit & -hit).bit_length(), w))
     if witnesses:
@@ -330,19 +328,19 @@ def _find_sibling_verdict(g: InfoGraph) -> SiblingVerdict:
 
     audit: dict = {"unique_maximum": len(nums.max_independent_sets) == 1}
     jmask = _mask(nums.max_independent_sets[0])
-    outside = [v for v in range(1, g.n + 1) if not jmask >> (v - 1) & 1]
+    outside = ((1 << g.n) - 1) & ~jmask
     if not outside:
         audit["vacuous"] = True
     else:
-        audit["contains_last_two"] = (
-            bool(jmask >> (g.n - 1) & 1) and (g.n < 2 or bool(jmask >> (g.n - 2) & 1))
-        )
-        sub = _induced(g, outside)
-        audit["alpha_drops"] = exact_numbers(sub).alpha < nums.alpha
+        # some agent is outside J, so n >= 2: one agent alone is its own J
+        audit["contains_last_two"] = jmask >> (g.n - 2) & 3 == 3
+        # alpha(G - J) is the size of the largest clique of the complement outside J
+        rest = _maximal_clique_masks(_complement(g), outside)
+        audit["alpha_drops"] = max(s.bit_count() for s in rest) < nums.alpha
         audit["outside_double_links"] = all(
-            bin(_out_mask(g, w) & jmask).count("1") >= 2 for w in outside
+            (_out_mask(g, w) & jmask).bit_count() >= 2 for w in _vertices(outside)
         )
-        if not all(v for k, v in audit.items()):
+        if not all(audit.values()):
             raise InternalConsistencyError(
                 f"graph lacks the sibling property but fails its structural audit: {audit}"
             )
@@ -360,39 +358,6 @@ def _induced(g: InfoGraph, vertices: Sequence[int]) -> InfoGraph:
         (order[i], order[j]) for i, j in g.edges if i in order and j in order
     ]
     return InfoGraph(len(vertices), edges)
-
-
-# ---------------------------------------------------------------------------
-# Whole-graph analysis
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphAnalysis:
-    alpha: int
-    k: int
-    omega: int
-    alpha_star: Fraction
-    k_star: Fraction
-    max_independent_sets: tuple[frozenset[int], ...]
-    maximal_cliques: tuple[frozenset[int], ...]
-    sibling: SiblingVerdict
-
-
-def analyze_graph(g: InfoGraph) -> GraphAnalysis:
-    from .lp import alpha_star, k_star  # deferred; lp imports this module
-
-    nums = exact_numbers(g)
-    return GraphAnalysis(
-        alpha=nums.alpha,
-        k=nums.k,
-        omega=nums.omega,
-        alpha_star=alpha_star(g),
-        k_star=k_star(g),
-        max_independent_sets=nums.max_independent_sets,
-        maximal_cliques=_cliques(g),
-        sibling=sibling_property(g),
-    )
 
 
 def to_dot(g: InfoGraph, clusters: Sequence[Sequence[int]] | None = None) -> str:

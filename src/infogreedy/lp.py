@@ -42,7 +42,7 @@ from .errors import (
     InternalConsistencyError,
     UnboundedLpError,
 )
-from .graphs import InfoGraph, _mask, maximal_cliques
+from .graphs import InfoGraph, _cliques
 from .oracles import _scaled
 
 ZERO = Fraction(0)
@@ -344,7 +344,7 @@ def independence_lp(g: InfoGraph) -> LinearProgram:
     restricting to maximal cliques leaves the optimum unchanged while keeping
     the tableau small.
     """
-    masks = [_mask(c) for c in maximal_cliques(g)]
+    masks = _cliques(g)
     _refuse_tableau(len(masks), g.n)
     bits = [tuple(c >> v & 1 for v in range(g.n)) for c in masks]
     rows = tuple(tuple(map(_UNIT.__getitem__, b)) for b in bits)
@@ -359,7 +359,7 @@ def cover_lp(g: InfoGraph) -> LinearProgram:
     it is an independent cross-check of a* = k* (``verify`` and the tests).
     Its >= rows are stored negated, as ``LinearProgram.build`` stores them.
     """
-    masks = [_mask(c) for c in maximal_cliques(g)]
+    masks = _cliques(g)
     _refuse_tableau(g.n, len(masks))
     bits = [tuple(c >> v & 1 for c in masks) for v in range(g.n)]
     rows = tuple(tuple(map(_NEG_UNIT.__getitem__, b)) for b in bits)
@@ -374,8 +374,6 @@ def _independence_solution(g: InfoGraph) -> LpSolution:
 
 def alpha_star_solution(g: InfoGraph) -> tuple[Fraction, tuple[Fraction, ...]]:
     """Fractional independence number and an optimal vertex of its LP."""
-    if g.n == 0:
-        return ZERO, ()
     sol = _independence_solution(g)
     return sol.optimum, sol.point
 
@@ -391,6 +389,4 @@ def k_star(g: InfoGraph) -> Fraction:
     the maximal cliques so that every agent is covered at least once, and
     ``solve_lp`` has checked that they do and that their total equals a*.
     """
-    if g.n == 0:
-        return ZERO
     return sum(_independence_solution(g).certificate["dual"], ZERO)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import GuardRefusal, InputError
-from .graphs import _bits
+from .graphs import _bits, maximal_cliques
 
 AUDIT_GUARD = 16
 
@@ -194,15 +194,8 @@ class TargetAssignmentOracle(ValuationOracle):
         return {"kind": self.kind, "values": list(self.values), "probs": list(self.probs)}
 
 
-class CappedSumOracle(ValuationOracle):
-    """Two-block ground set {u_1..u_n, v_1..v_n} with per-agent weights w.
-
-    f(A) = min(1, sum of w_i over u_i in A) + sum of w_i over v_i in A.
-    The u block shares a unit of capacity; the v block is modular, so the
-    marginal of any v_i is w_i against every base.
-    """
-
-    kind = "capped_sum"
+class _TwoBlock(ValuationOracle):
+    """Ground set {u_1..u_n, v_1..v_n}: agent i (0-based) owns ids i and n + i."""
 
     def __init__(self, weights: Sequence[Fraction]):
         weights = tuple(Fraction(w) for w in weights)
@@ -211,7 +204,6 @@ class CappedSumOracle(ValuationOracle):
                 raise InputError(f"agent {i} has negative weight {w}")
         super().__init__(2 * len(weights))
         self.weights = weights
-        self._den, self._nums = _scaled(weights)
 
     @property
     def n_agents(self) -> int:
@@ -222,6 +214,20 @@ class CappedSumOracle(ValuationOracle):
 
     def v_id(self, agent: int) -> int:
         return self.n_agents + agent
+
+
+class CappedSumOracle(_TwoBlock):
+    """f(A) = min(1, sum of w_i over u_i in A) + sum of w_i over v_i in A.
+
+    The u block shares a unit of capacity; the v block is modular, so the
+    marginal of any v_i is w_i against every base.
+    """
+
+    kind = "capped_sum"
+
+    def __init__(self, weights: Sequence[Fraction]):
+        super().__init__(weights)
+        self._den, self._nums = _scaled(self.weights)
 
     def _value_num(self, mask: int) -> int:
         n = self.n_agents
@@ -239,8 +245,8 @@ class CappedSumOracle(ValuationOracle):
         return {"kind": self.kind, "weights": list(self.weights)}
 
 
-class TwoBlockOracle(ValuationOracle):
-    """Ground set {u_1..u_n, v_1..v_n}: tabulated u-block plus modular v-block.
+class TwoBlockOracle(_TwoBlock):
+    """A tabulated u-block plus the modular v-block.
 
     f(A) = table[A restricted to u block] + sum of w_i over v_i in A.  The
     capped sum is the special case table[M] = min(1, sum of w_i over M); the
@@ -251,28 +257,13 @@ class TwoBlockOracle(ValuationOracle):
     kind = "two_block"
 
     def __init__(self, u_table: Mapping[int, Fraction], weights: Sequence[Fraction]):
-        weights = tuple(Fraction(w) for w in weights)
-        n = len(weights)
-        u_values = _dense_table(u_table, n, "u table")
-        for i, w in enumerate(weights):
-            if w < 0:
-                raise InputError(f"agent {i} has negative weight {w}")
-        super().__init__(2 * n)
-        self.weights = weights
+        u_values = _dense_table(u_table, len(weights), "u table")  # refused before the weights
+        super().__init__(weights)
         if u_values[0] != 0:
             raise InputError("u table must map the empty set to 0")
-        self._den, nums = _scaled(weights + tuple(u_values))
+        n = self.n_agents
+        self._den, nums = _scaled(self.weights + tuple(u_values))
         self._w_nums, self._u_nums = nums[:n], nums[n:]
-
-    @property
-    def n_agents(self) -> int:
-        return len(self.weights)
-
-    def u_id(self, agent: int) -> int:
-        return agent
-
-    def v_id(self, agent: int) -> int:
-        return self.n_agents + agent
 
     def _value_num(self, mask: int) -> int:
         n = self.n_agents
@@ -348,8 +339,6 @@ def build_capped_sum(weights: Sequence[Fraction], graph=None) -> CappedSumOracle
     """
     oracle = CappedSumOracle(weights)
     if graph is not None:
-        from .graphs import maximal_cliques
-
         if graph.n != oracle.n_agents:
             raise InputError(
                 f"graph has {graph.n} agents, weights have {oracle.n_agents}"

@@ -8,6 +8,9 @@ Instance schema:
     {"kind": "vta",        "values": [...], "probs": [...], "actions": ...}
     {"kind": "capped_sum", "weights": [...],               "actions": ...}
     {"kind": "two_block",  "weights": [...], "u_table": {"mask": val}, "actions": ...}
+    {"kind": "table",      "ground": int,    "table": {"mask": val},   "actions": ...}
+A table lists every mask of its 2^n ("u_table") or 2^ground subsets, keyed
+in canonical decimal ("5", never "05", " 5" or "+5"): one spelling each.
 Elements are 0-based ids into the oracle's ground set; for "vta" the id of
 agent a engaging target t is a * n_targets + t.
 
@@ -24,6 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any
 
+from .design import CurvePoint
 from .errors import GuardRefusal, InputError
 from .graphs import InfoGraph
 from .oracles import (
@@ -156,6 +160,8 @@ def _mask_table(obj: Any, where: str) -> dict[int, Fraction]:
             mask = int(key)
         except ValueError as exc:
             raise InputError(f"{where}/{key}: non-integer mask") from exc
+        if str(mask) != key:  # one spelling per mask, so no entry can shadow another
+            raise InputError(f"{where}/{key}: mask keys must be canonical decimal integers")
         table[mask] = parse_rational(val, f"{where}/{key}")
     return table
 
@@ -227,8 +233,6 @@ def curve_to_csv(points) -> str:
 
 
 def curve_from_csv(text: str):
-    from .design import CurvePoint
-
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines or lines[0] != "m,gamma_num,gamma_den,r,case_tag":
         raise InputError("curve CSV missing its header")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Iterator
@@ -375,17 +376,12 @@ CHECKS = (
 
 
 def run_all(stream=None) -> bool:
-    import sys
-
     stream = stream or sys.stdout
-    results = []
 
     def log(ok: bool, message: str):
         stream.write(f"{'PASS' if ok else 'FAIL'}  {message}\n")
 
-    for check in CHECKS:
-        results.append(check(log))
-    total = len(results)
+    results = [check(log) for check in CHECKS]
     good = sum(results)
-    stream.write(f"{good}/{total} checks passed\n")
-    return good == total
+    stream.write(f"{good}/{len(results)} checks passed\n")
+    return good == len(results)

@@ -16,8 +16,10 @@ import infogreedy.cli as cli_mod
 import infogreedy.lp as lp_mod
 import infogreedy.serialize as serialize_mod
 import infogreedy.verify as verify_mod
+from infogreedy.bounds import BUDGET_GUARD
 from infogreedy.cli import main
 from infogreedy.design import DESIGN_GUARD
+from infogreedy.graphs import EXACT_GUARD
 from infogreedy.greedy import DEPTH_GUARD
 from infogreedy.lp import independence_lp
 from infogreedy.serialize import AGENT_GUARD, parse_graph
@@ -237,6 +239,36 @@ class TestWorstCase:
         assert main(argv + ["--budget", "-3"]) == 2
         out, err = capsys.readouterr()
         assert out == "" and "budget must be nonnegative" in err
+
+    def test_budget_past_the_guard_is_refused_at_once(self, capsys):
+        argv = ["worst-case", "--graph", str(FIXTURES / "five_cycle.json")]
+        start = time.perf_counter()
+        assert main(argv + ["--budget", str(BUDGET_GUARD + 1)]) == 3
+        assert time.perf_counter() - start < 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: probe budget {BUDGET_GUARD + 1:,} exceeds "
+                       f"the budget guard {BUDGET_GUARD:,}\n")
+        help_text = " ".join(_outcome(capsys, ["worst-case", "--help"])[1].split())
+        assert f"at most {BUDGET_GUARD:,} (more is refused with exit 3)" in help_text
+
+    @pytest.mark.parametrize("doc", [
+        {"n": 17, "edges": []},
+        {"n": 20, "edges": []},
+        {"n": 24, "edges": []},
+        {"n": 17, "edges": [[1, j] for j in range(2, 18)]},
+    ])
+    def test_exact_guard_speaks_before_the_engine(self, monkeypatch, tmp_path, capsys, doc):
+        def engine_ran(g):
+            raise AssertionError("the certificate was built past the exact guard")
+
+        monkeypatch.setattr(cli_mod, "upper_bound_instance", engine_ran)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        assert main(["worst-case", "--graph", str(path), "--budget", "5"]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: n={doc['n']} exceeds exhaustive guard {EXACT_GUARD}\n"
+        )
 
     def test_crossed_seven_cycle_takes_the_padded_path(self, capsys):
         code, out = run(
@@ -518,6 +550,27 @@ class TestContracts:
             path = tmp_path / f"mask{k}.json"
             path.write_text(json.dumps({**doc, "actions": [[[0]]]}))
             assert main(["audit", "--instance", str(path)]) == 2
+
+    @pytest.mark.parametrize("key", [" 1", "01", "+1", "1 ", "1_0"])
+    def test_mask_keys_are_canonical_decimal(self, tmp_path, capsys, key):
+        # before, " 1" and "1" were one dict entry and the later value won
+        graph, inst = tmp_path / "graph.json", tmp_path / "inst.json"
+        graph.write_text(json.dumps({"n": 1, "edges": []}))
+        inst.write_text(json.dumps(
+            {"kind": "table", "ground": 1, "table": {"0": 0, "1": 1, key: 2}, "actions": [[[0]]]}
+        ))
+        assert main(["solve", "--graph", str(graph), "--instance", str(inst)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: /table/{key}: mask keys must be canonical decimal integers\n"
+        )
+
+    def test_a_negative_mask_key_is_outside_the_ground_set(self, tmp_path, capsys):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps(
+            {"kind": "two_block", "weights": [1], "u_table": {"0": 0, "-1": 1}, "actions": [[[0]]]}
+        ))
+        assert main(["audit", "--instance", str(inst)]) == 2
+        assert capsys.readouterr().err == "error: u table mask -1 outside the ground set\n"
 
     def test_byte_identical_reruns(self, capsys):
         argv = [

@@ -7,9 +7,11 @@ agree with them exactly: the same optimum, vertex and dual certificate, the
 same error class, the same certificate verdicts and reasons, and the same
 audit verdicts and witnesses.  scipy's float
 ``linprog`` serves only as an independent sanity bracket, never as the
-reference.
+reference.  Two source scans close the file: no top-level import of a
+package module goes unused, and the kernels contain no floats.
 """
 
+import ast
 import random
 import re
 import tokenize
@@ -524,6 +526,43 @@ def float_tokens(path: Path) -> list[str]:
             elif tok.type == tokenize.OP and tok.string in ("/", "/="):
                 found.append(f"{tok.start[0]}: operator {tok.string}")
     return found
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names bound by a top-level import that the module never reads.
+
+    ``from __future__`` imports are directives, not names, and are skipped.
+    """
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{line}: {name}" for name, line in bound.items() if name not in read]
+
+
+class TestNoDeadImports:
+    @pytest.mark.parametrize(
+        "module", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+    )
+    def test_every_import_is_used(self, module):
+        assert unused_imports(SRC / module) == []
+
+    def test_scanner_flags_unused_imports(self, tmp_path):
+        path = tmp_path / "probe.py"
+        path.write_text(
+            "from __future__ import annotations\n"
+            "import os\n"
+            "import os.path as osp\n"
+            "from fractions import Fraction\n"
+            "from typing import List, Sequence\n"
+            "x: List[int] = osp.sep\n"
+        )
+        assert unused_imports(path) == ["2: os", "4: Fraction", "5: Sequence"]
 
 
 class TestFloatFree:

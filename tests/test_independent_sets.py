@@ -4,7 +4,9 @@
 largest maximal cliques of its complement, and finds the minimum clique
 cover by branching on the graph's own maximal cliques.  The subset scan and
 the per-subset clique DP they replaced are kept below as references and
-must give identical ``ExactNumbers``; networkx
+must give identical ``ExactNumbers``, as must the induced graph that the
+sibling audit once built for alpha(G - J) and the frozenset sort that once
+ordered the maximal cliques; networkx
 (an optional test dependency) independently lists maximal cliques of the
 graph and of its complement.
 """
@@ -22,8 +24,11 @@ from infogreedy import (
     edgeless_graph,
     exact_numbers,
     maximal_cliques,
+    sibling_property,
 )
+from infogreedy.design import min_edges_no_sibling
 from infogreedy.graphs import MAXIMAL_CLIQUE_GUARD
+from infogreedy.verify import labelled_graphs
 from conftest import all_pairs, random_graph, unlabeled_classes
 
 
@@ -141,6 +146,86 @@ class TestAgainstTheSubsetScan:
     def test_seeded_and_extreme_graphs_up_to_sixteen(self):
         for g in large_graphs():
             assert exact_numbers(g) == reference_exact_numbers(g), g
+
+
+# ---------------------------------------------------------------------------
+# The induced graphs and frozenset cliques the library replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_alpha_within(g: InfoGraph, mask: int) -> int:
+    """alpha of the subgraph induced on ``mask``, from a graph built for it."""
+    return exact_numbers(graphs_mod._induced(g, graphs_mod._vertices(mask))).alpha
+
+
+def alpha_within(g: InfoGraph, mask: int) -> int:
+    """The sibling audit's alpha(G - J): the largest complement clique in ``mask``."""
+    rest = graphs_mod._maximal_clique_masks(graphs_mod._complement(g), mask)
+    return max(s.bit_count() for s in rest)
+
+
+def reference_maximal_cliques(g: InfoGraph) -> list[frozenset[int]]:
+    """The cliques as frozensets, sorted by size and then by sorted members."""
+    if g.n == 0:
+        return []
+    masks = graphs_mod._maximal_clique_masks(g.adj_masks, (1 << g.n) - 1)
+    return sorted(map(graphs_mod._vertices, masks), key=lambda c: (len(c), sorted(c)))
+
+
+def labelled_up_to_four() -> list[InfoGraph]:
+    return [g for n in range(5) for g in labelled_graphs(n)]
+
+
+def seeded_subsets() -> list[tuple[InfoGraph, int]]:
+    """200 seeded (G, S) with n = 5..12, S a uniform vertex subset."""
+    rng = random.Random(1965)
+    pairs = []
+    for n in range(5, 13):
+        for _ in range(25):
+            g = random_graph(rng, n)
+            pairs.append((g, rng.randrange(1 << n)))
+    return pairs
+
+
+class TestMaskPathsMatchTheReplacedOnes:
+    def test_alpha_of_every_induced_subgraph_up_to_four(self):
+        for g in labelled_up_to_four():
+            for mask in range(1 << g.n):
+                assert alpha_within(g, mask) == reference_alpha_within(g, mask), (g, mask)
+
+    def test_alpha_of_seeded_induced_subgraphs(self):
+        for g, mask in seeded_subsets():
+            assert alpha_within(g, mask) == reference_alpha_within(g, mask), (g, mask)
+
+    def test_the_sibling_audit_reads_alpha_outside_j(self, monkeypatch):
+        calls = []
+        original = graphs_mod._maximal_clique_masks
+
+        def recorded(adj, allowed):
+            found = original(adj, allowed)
+            calls.append((allowed, found))
+            return found
+
+        monkeypatch.setattr(graphs_mod, "_maximal_clique_masks", recorded)
+        graphs = [g for n in range(6) for g in labelled_graphs(n)]
+        graphs += [min_edges_no_sibling(n, r).witness for n in range(3, 10) for r in range(2, n)]
+        audited = 0
+        for g in graphs:
+            verdict = sibling_property(g)
+            if verdict or "vacuous" in verdict.audit:
+                continue
+            # the audit's enumeration is the last: exact_numbers ran before it
+            allowed, found = calls[-1]
+            jmask = graphs_mod._mask(exact_numbers(g).max_independent_sets[0])
+            assert allowed == ((1 << g.n) - 1) & ~jmask, g
+            assert max(s.bit_count() for s in found) == reference_alpha_within(g, allowed), g
+            audited += 1
+        assert audited >= 28
+
+    def test_clique_order(self):
+        graphs = labelled_up_to_four() + [g for g, _ in seeded_subsets()] + [moon_moser_16()]
+        for g in graphs:
+            assert maximal_cliques(g) == reference_maximal_cliques(g), g
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,11 @@ class TestCliqueRelaxations:
     def test_single_node(self):
         assert alpha_star(InfoGraph(1, [])) == 1
 
+    def test_no_agents(self):
+        # the empty LP: no rows, no columns, optimum 0
+        assert alpha_star_solution(InfoGraph(0, [])) == (0, ())
+        assert k_star(InfoGraph(0, [])) == 0
+
     def test_cover_side(self):
         assert k_star(FIVE_CYCLE) == F(5, 2)
         assert k_star(K4_MINUS_EDGE) == 2
