@@ -20,7 +20,7 @@ from .bounds import (
     sibling_instance,
     upper_bound_instance,
 )
-from .design import CASE_TURAN, DESIGN_GUARD, efficiency_curve, optimal_structure
+from .design import CASE_TURAN, DESIGN_GUARD, curve_runs, optimal_structure
 from .errors import exit_code_for
 from .graphs import complete_graph, exact_numbers, maximal_cliques, sibling_property, to_dot
 from .greedy import POLICIES, brute_force_opt, run_generalized_greedy
@@ -28,6 +28,7 @@ from .lp import alpha_star, k_star
 from .oracles import audit_properties
 from .serialize import (
     curve_to_csv,
+    curve_to_json,
     dumps,
     format_rational,
     graph_to_obj,
@@ -237,20 +238,8 @@ def cmd_design(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    points = efficiency_curve(args.n)
-    if args.format == "json":
-        obj = [
-            {
-                "m": p.m,
-                "gamma": format_rational(p.gamma),
-                "r": p.r,
-                "case": p.case_tag,
-            }
-            for p in points
-        ]
-        _write(args, dumps(obj))
-    else:
-        _write(args, curve_to_csv(points))
+    runs = curve_runs(args.n)
+    _write(args, curve_to_json(runs) if args.format == "json" else curve_to_csv(runs))
     return 0
 
 

@@ -14,7 +14,8 @@ is at least a 1/n fraction of any profile by subadditivity, and the shared
 target instance meets it); the clique-minus-edge case guarantees 1/2.
 
 A design has O(n^2) edges and a curve n(n-1)/2 + 1 rows, so both refuse
-more than ``DESIGN_GUARD`` agents before any work.
+more than ``DESIGN_GUARD`` agents before any work.  The curve is piecewise
+constant, one run per block count, so ``curve_runs`` computes it per run.
 """
 
 from __future__ import annotations
@@ -150,26 +151,44 @@ def optimal_structure(n: int, m: int) -> DesignResult:
     )
 
 
-def efficiency_curve(n: int) -> list[CurvePoint]:
-    """Guaranteed efficiency of the optimal design for every budget m.
+def curve_runs(n: int) -> list[tuple[int, int, Fraction, int, str]]:
+    """The guarantee curve as runs of equal guarantee, in increasing budget.
 
-    Closed form of ``optimal_structure(n, m)`` row by row, building no graph:
-    the smallest block count r with edge_count(n, r) <= m only falls as m
-    grows, so one downward walk over r serves every budget.
+    Each run is ``(lo, hi, gamma, r, case_tag)``: every budget m with
+    lo <= m < hi gets guarantee gamma from a design of independence number
+    r.  The smallest block count r with edge_count(n, r) <= m only falls as
+    m grows, and edge_count falls strictly in r, so block count r serves
+    the budgets edge_count(n, r) .. edge_count(n, r - 1) - 1.  The budget
+    one short of complete, the last of the r = 2 run, is a run of its own.
+    At most n + 1 runs, one Fraction each.
     """
     _check_agents(n)
     top = n * (n - 1) // 2
-    points = []
-    r = n
-    for m in range(top + 1):
-        while r > 1 and edge_count(n, r - 1) <= m:
-            r -= 1
-        if m == top - 1:
-            # the missing edge leaves one nonadjacent pair
-            points.append(CurvePoint(m, Fraction(1, 2), 2, CASE_CLIQUE_MINUS_EDGE))
-        else:
-            points.append(CurvePoint(m, _design_guarantee(n, r), r, CASE_TURAN))
-    return points
+    runs = []
+    lo = 0
+    for r in range(n, 1, -1):
+        hi = edge_count(n, r - 1) if r > 2 else top - 1
+        if lo < hi:  # only n = 2 leaves the r = 2 run empty
+            runs.append((lo, hi, _design_guarantee(n, r), r, CASE_TURAN))
+        lo = hi
+    if n > 1:
+        # the missing edge leaves one nonadjacent pair
+        runs.append((top - 1, top, Fraction(1, 2), 2, CASE_CLIQUE_MINUS_EDGE))
+    runs.append((top, top + 1, _design_guarantee(n, 1), 1, CASE_TURAN))
+    return runs
+
+
+def efficiency_curve(n: int) -> list[CurvePoint]:
+    """Guaranteed efficiency of the optimal design for every budget m.
+
+    Closed form of ``optimal_structure(n, m)`` row by row, building no
+    graph: the rows of ``curve_runs(n)``, one point per budget.
+    """
+    return [
+        CurvePoint(m, gamma, r, case_tag)
+        for lo, hi, gamma, r, case_tag in curve_runs(n)
+        for m in range(lo, hi)
+    ]
 
 
 @dataclass(frozen=True)

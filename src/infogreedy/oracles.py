@@ -120,13 +120,18 @@ class WeightedSetCoverOracle(ValuationOracle):
     kind = "wsc"
 
     def __init__(self, values: Sequence[Fraction]):
-        values = tuple(Fraction(v) for v in values)
+        values = tuple(values)
+        if all(type(v) is int for v in values):  # the probe's draws: no scaling to do
+            den, nums = 1, values
+        else:
+            values = tuple(map(Fraction, values))
+            den, nums = _scaled(values)
         for t, v in enumerate(values):
             if v < 0:
                 raise InputError(f"target {t} has negative value {v}")
         super().__init__(len(values))
         self.values = values
-        self._den, self._nums = _scaled(values)
+        self._den, self._nums = den, nums
 
     def _value_num(self, mask: int) -> int:
         nums = self._nums

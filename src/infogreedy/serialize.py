@@ -2,6 +2,11 @@
 
 Rationals travel as exact "p/q" strings (plain integers stay integers); all
 dumps are byte-stable across runs: keys sorted, no locale, newline-terminated.
+``dumps`` writes exactly what ``json.dumps(obj, sort_keys=True, indent=2)``
+writes, plus the newline, with its own emitter rather than the standard
+library's pure-Python indenting encoder.  The guarantee curve is written per
+run of equal guarantee (``design.curve_runs``): the text of a row other than
+its budget is formatted once per run.
 
 Instance schema:
     {"kind": "wsc",        "values": [...],                "actions": [[[e,..],..],..]}
@@ -219,17 +224,90 @@ def _load(path) -> Any:
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2) + "\\n"``, byte for byte.
+
+    The standard library runs its pure-Python encoder whenever it indents,
+    so this emitter writes the same layout itself.  Strings and keys are
+    escaped by ``json.encoder.encode_basestring_ascii``, keys are sorted,
+    a tuple prints as a list, and lists of ints and lists of int lists
+    (edges, partitions, profiles, masks) are formatted in one pass.  Keys
+    must be strings and numbers ints: a float raises TypeError, as a
+    Fraction or any other value ``json.dumps`` cannot encode does.
+    """
+    return _encode(obj, "\n") + "\n"
 
 
-def curve_to_csv(points) -> str:
-    """CSV with columns m, gamma_num, gamma_den, r, case_tag."""
-    lines = ["m,gamma_num,gamma_den,r,case_tag"]
-    for p in points:
-        lines.append(
-            f"{p.m},{p.gamma.numerator},{p.gamma.denominator},{p.r},{p.case_tag}"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj: Any, nl: str) -> str:
+    """``obj`` indented two spaces a level, ``nl`` the newline and indent of its line."""
+    kind = type(obj)
+    if kind is str:
+        return _quote(obj)
+    if kind is int:
+        return str(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = nl + "  "
+        return "{" + inner + ("," + inner).join([
+            _quote(key) + ": " + _encode(value, inner) for key, value in sorted(obj.items())
+        ]) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = nl + "  "
+        if all(type(x) is int for x in obj):
+            return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
+        if (kind is list and all(type(x) is list and x for x in obj)
+                and all(type(y) is int for x in obj for y in x)):
+            # list.__repr__ writes "[[1, 2], [3]]": only the separators change
+            deeper = inner + "  "
+            body = repr(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
+            body = body.replace(", ", "," + deeper)
+            return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
+        return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + nl + "]"
+    if isinstance(obj, str):
+        return _quote(obj)
+    if isinstance(obj, int):  # a subclass, printed as json.dumps prints it
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def curve_to_csv(runs) -> str:
+    """CSV with columns m, gamma_num, gamma_den, r, case_tag from ``design.curve_runs``.
+
+    The rest of a row is the same across a run, so it is formatted once per run.
+    """
+    parts = ["m,gamma_num,gamma_den,r,case_tag\n"]
+    for lo, hi, gamma, r, case_tag in runs:
+        rest = f",{gamma.numerator},{gamma.denominator},{r},{case_tag}\n"
+        parts.append(rest.join(map(str, range(lo, hi))) + rest)
+    return "".join(parts)
+
+
+def curve_to_json(runs) -> str:
+    """``dumps`` of the curve's rows ``{"case", "gamma", "m", "r"}`` from ``design.curve_runs``.
+
+    Each row of a run differs only in m, so the text around m is formatted
+    once per run.
+    """
+    rows = []
+    for lo, hi, gamma, r, case_tag in runs:
+        head = (
+            f'  {{\n    "case": {_quote(case_tag)},\n'
+            f'    "gamma": {_encode(format_rational(gamma), "")},\n    "m": '
         )
-    return "\n".join(lines) + "\n"
+        tail = f',\n    "r": {r}\n  }}'
+        rows.append(head + (tail + ",\n" + head).join(map(str, range(lo, hi))) + tail)
+    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def curve_from_csv(text: str):

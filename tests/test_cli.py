@@ -30,6 +30,118 @@ GRAPH_FIXTURES = (
     "demo_cover_graph.json", "five_cycle.json", "k4_minus_edge.json", "single_edge_trio.json",
 )
 
+# sha256 of stdout for every command and format on the fixtures (verify's
+# bytes are pinned by VERIFY_LINES), and for a curve and a design at the
+# design guard.  The hashes were taken from the
+# per-row curve and the json.dumps(sort_keys=True, indent=2) writer, so any
+# later change to the output layers must keep these bytes.
+GOLDEN_SHA256 = {
+    "analyze --graph crossed_seven_cycle.json --format table":
+        "907b7091a7ad22f4da91517b7818cba3449b9aea7487f1e5bc72c7f24ccbd160",
+    "analyze --graph crossed_seven_cycle.json --format json":
+        "765466279d27e66d510c42ea6d23ebf1a4db564dcd0bc955300ece967559b635",
+    "analyze --graph crossed_seven_cycle.json --format dot":
+        "ad7e098699a6c97dcfc0855726c883615c8ceeda8a6799aa2d433ec2ad5ed2e5",
+    "analyze --graph demo_cover_graph.json --format table":
+        "fc4cea49e5ca36acc5ee70114aa6abeb0d67dbbd2accf2216cb3133320c669df",
+    "analyze --graph demo_cover_graph.json --format json":
+        "8ebbc585fe35e5b303d80b1a42b757ea8ad56bc2ca465fae34e411c2cef922f8",
+    "analyze --graph demo_cover_graph.json --format dot":
+        "d63f57d733d7703b377a06116033d1f894ae52493fa60dc895e09438def8996e",
+    "analyze --graph five_cycle.json --format table":
+        "1c78dd1033cec7fe8937663942253cf43f20d6ffbf25fc2dfa0935882ed34ca6",
+    "analyze --graph five_cycle.json --format json":
+        "ed387630f8e0dd8a8abf6c3b5be034b8f974a3bd273abb4b7f07f6ed566e41e7",
+    "analyze --graph five_cycle.json --format dot":
+        "9db6c55294003447647a2f2895df7c299cf4211f618ec0340bcf9661b9ffa533",
+    "analyze --graph k4_minus_edge.json --format table":
+        "27752c2ca7530000b6e6a90421f2c4a17f294f96c97677d7310d9ff587bcf366",
+    "analyze --graph k4_minus_edge.json --format json":
+        "ce55a718e5a4a42dadb69d1d36cd26ccbeab7a61d739e05a4d9a692dd4bdfa97",
+    "analyze --graph k4_minus_edge.json --format dot":
+        "5ff35b96ff4a7ee299beee4c24fc9545bbe37eaeb6d79928c23974266b08f831",
+    "analyze --graph single_edge_trio.json --format table":
+        "a9c34e9945a1ac2a3385505749703b6ab9b1b77c6a497cd4fd4771b5621d6369",
+    "analyze --graph single_edge_trio.json --format json":
+        "d07e8420dba6b41e32aadb4d906921900ed5b0ab72490b81c5de8cd58ede137f",
+    "analyze --graph single_edge_trio.json --format dot":
+        "e6912becf2ba3882aa8a275b3574228410d25f8554e0f29db2d523c309c0fdfa",
+    "solve --graph demo_cover_graph.json --instance demo_cover_instance.json --format table":
+        "b2bfcda88d9e24db19535071858bfcec068c7ff64e4217f548528ca9a4b4a8e8",
+    "solve --graph single_edge_trio.json --instance pileup_cover_instance.json --format table":
+        "2685ff7328badfcf98aa12e5500eddebc137aa68fac4abb5a856a6590d120554",
+    "solve --graph demo_cover_graph.json --instance demo_cover_instance.json --format json":
+        "311e63c708a24f202255b00e826b8dbc6f2dd4bf67171fa3596c4393741e739a",
+    "solve --graph single_edge_trio.json --instance pileup_cover_instance.json --format json":
+        "eb6279c21064862d201ae4e314f2c20eada8403794adf348fa40e3de9e45cdf7",
+    "solve --graph demo_cover_graph.json --instance demo_cover_instance.json --tie first --format json":
+        "86c1c14ef92e6c5d06bc6cc0c4d61761df26c44dff3bebcfd92ab7027ab9b858",
+    "solve --graph demo_cover_graph.json --instance demo_cover_instance.json --tie random --seed 3 --format json":
+        "9796b6f50275a6ace5c4c3f8c74456f3f5ad4018f668617da18160dfb3a62d18",
+    "solve --graph k4_minus_edge.json --instance demo_cover_instance.json --format json":
+        "adb7b8a117fea9c4084c4ad882bbb16e617c3870cc40956d2dcca4e5a66b406c",
+    "worst-case --graph crossed_seven_cycle.json":
+        "e698ba75af68ae9fe6d7ce0fc3a0a9a2c5d4a22a8b8ff8120be7944b3d948c8b",
+    "worst-case --graph demo_cover_graph.json":
+        "817d6b5d491d695a6fc8a482ad68303575ebd8da1a3e360a801645c57cdafe48",
+    "worst-case --graph five_cycle.json":
+        "39527a4a4f239458e5012dcb806ae628e845812a0f9c9dbbbd2c5d819cd7e7c8",
+    "worst-case --graph k4_minus_edge.json":
+        "4fd7180fc6605cc27f00cb3b5cc98ac171a61e39abbd5cec16cdec5196d8b876",
+    "worst-case --graph single_edge_trio.json":
+        "456b4b7c91a5942d602d0fcad296c74483806ae3446f5973b5d9879c3a5be4ac",
+    "worst-case --graph five_cycle.json --budget 30 --seed 5":
+        "d7578816769887731fed05d5b084c5a05daba671f61650f3d2cb242ba98cc08b",
+    "worst-case --graph crossed_seven_cycle.json --budget 20 --seed 1":
+        "e0cedefc8f0b793f25758aaece246caaa4a8e7c33487da979bf0eb2138fdd358",
+    "design --n 8 --m 7 --format table":
+        "e13c49ee4669b2f0aaadf3ae3d8fde25be9bbb066d79284359772cbb05be5025",
+    "design --n 8 --m 7 --format json":
+        "05f01c18deaddddb9994eb14d28431102ebd7489de739a01c3532c173ed819a9",
+    "design --n 8 --m 7 --format dot":
+        "45ff27db3e025f24d64a7a8948060fb2902fedc3bc4aa7292de69522528b1a5b",
+    "design --n 4 --m 5 --format table":
+        "715d762bd92741318a0dde210842d0b17e517b9da476a4054e93bc352574c11d",
+    "design --n 4 --m 5 --format json":
+        "722af5ba252a1c369db9ac5a66dfc6a8c346de239dd2d1493e5e45346bcbe34a",
+    "design --n 4 --m 5 --format dot":
+        "5ff35b96ff4a7ee299beee4c24fc9545bbe37eaeb6d79928c23974266b08f831",
+    "design --n 1 --m 0 --format json":
+        "22974a02df6a2e6382b72b87c1d9d8dabea0bfece68080f5ff8a0259395ad454",
+    "design --n 1000 --m 250000 --format json":
+        "6ab80efbda6abe8e5dc72ed0203513fcd680ebe7cd2cec604faba8bbd545ca2b",
+    "curve --n 1 --format csv":
+        "a3f0d011ef227351a9c2c1928f92aa04acecd15d1083f7784d725725e3b9a533",
+    "curve --n 1 --format json":
+        "f3a1cd11794c7807340f38ec9c22d6e328db5d1b7941eda41f8015961540a14b",
+    "curve --n 2 --format csv":
+        "2ab08cc4f96e13f198d95b35d9570a0e467ee936158e9cec3086231f79b7fa2a",
+    "curve --n 2 --format json":
+        "aa7759a5d8529f5c8129b42fb9ff7333237394a4174edcfa31afd78aff2115ec",
+    "curve --n 3 --format csv":
+        "f441f67444dc60319fbd13d8a832919424fea1220be49dd2dd1c839437cd894a",
+    "curve --n 3 --format json":
+        "45036cebfcb3672e1a2d9a2f375d03b2ee505c3bd70f580be4be31994ae81335",
+    "curve --n 10 --format csv":
+        "ef1c13caf75156b5ebb2af78800565de90fdd2e4031e3b3305b4df534b001f61",
+    "curve --n 10 --format json":
+        "2fdd46d693d8da4ef1d7abc7c053ac0fc189d0e37d8d3f7b5441631b15debf29",
+    "curve --n 70 --format json":
+        "dbab1d5364ff775451c3c327628152781bc58492a9b69e94b1dad16beb8c3990",
+    "curve --n 1000":
+        "0b918cd98ce660f98cdf5c96878fcfa799c70bcefa3f71475912ec34dee172c8",
+    "curve --n 1000 --format json":
+        "e8317573832953b696474e19cdea05147e0062d16db270a289e689490dbf2146",
+    "audit --instance demo_cover_instance.json --format table":
+        "f59d038c6628d911acbb6de2cbbc371ddc0699e170b2be478b8eea66d4d9ac1e",
+    "audit --instance demo_cover_instance.json --format json":
+        "4d2a939d08e2c78de9a470834f738f6daa11b8e21c2a711d8cd9807283dc6500",
+    "audit --instance pileup_cover_instance.json --format table":
+        "f59d038c6628d911acbb6de2cbbc371ddc0699e170b2be478b8eea66d4d9ac1e",
+    "audit --instance pileup_cover_instance.json --format json":
+        "4d2a939d08e2c78de9a470834f738f6daa11b8e21c2a711d8cd9807283dc6500",
+}
+
 
 def run(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
@@ -343,6 +455,7 @@ class TestVerify:
         code, out = run(capsys, "verify")
         assert code == 0
         assert out.splitlines() == VERIFY_LINES
+        assert out == "\n".join(VERIFY_LINES) + "\n"  # byte for byte, like GOLDEN_SHA256
 
     def test_a_failing_check_prints_fail_and_exits_4(self, monkeypatch, capsys):
         # the demo cover read on the near-clique quartet instead of its own graph
@@ -641,3 +754,11 @@ class TestCachedParser:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, check=True)
         assert done.stdout == "False True\n"
+
+
+class TestGoldenOutputs:
+    @pytest.mark.parametrize("line", list(GOLDEN_SHA256))
+    def test_stdout_bytes(self, capsys, line):
+        argv = [str(FIXTURES / t) if t.endswith(".json") else t for t in line.split()]
+        assert main(argv) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == GOLDEN_SHA256[line]
