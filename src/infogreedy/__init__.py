@@ -21,7 +21,6 @@ from .design import (
     NoSiblingWitness,
     TuranDesign,
     complement_turan,
-    curve_runs,
     edge_count,
     efficiency_curve,
     min_edges_no_sibling,

@@ -28,7 +28,6 @@ from .lp import alpha_star, k_star
 from .oracles import audit_properties
 from .serialize import (
     curve_to_csv,
-    curve_to_json,
     dumps,
     format_rational,
     graph_to_obj,
@@ -239,7 +238,14 @@ def cmd_design(args) -> int:
 
 def cmd_curve(args) -> int:
     runs = curve_runs(args.n)
-    _write(args, curve_to_json(runs) if args.format == "json" else curve_to_csv(runs))
+    if args.format == "json":
+        rows = []
+        for lo, hi, gamma, r, case_tag in runs:
+            gamma = format_rational(gamma)
+            rows.extend({"case": case_tag, "gamma": gamma, "m": m, "r": r} for m in range(lo, hi))
+        _write(args, dumps(rows))
+    else:
+        _write(args, curve_to_csv(runs))
     return 0
 
 

@@ -4,9 +4,9 @@ Rationals travel as exact "p/q" strings (plain integers stay integers); all
 dumps are byte-stable across runs: keys sorted, no locale, newline-terminated.
 ``dumps`` writes exactly what ``json.dumps(obj, sort_keys=True, indent=2)``
 writes, plus the newline, with its own emitter rather than the standard
-library's pure-Python indenting encoder.  The guarantee curve is written per
-run of equal guarantee (``design.curve_runs``): the text of a row other than
-its budget is formatted once per run.
+library's pure-Python indenting encoder.  The guarantee curve's CSV is
+written per run of equal guarantee (``design.curve_runs``): the text of a row
+other than its budget is formatted once per run.
 
 Instance schema:
     {"kind": "wsc",        "values": [...],                "actions": [[[e,..],..],..]}
@@ -230,8 +230,8 @@ def dumps(obj: Any) -> str:
     so this emitter writes the same layout itself.  Strings and keys are
     escaped by ``json.encoder.encode_basestring_ascii``, keys are sorted,
     a tuple prints as a list, and lists of ints and lists of int lists
-    (edges, partitions, profiles, masks) are formatted in one pass.  Keys
-    must be strings and numbers ints: a float raises TypeError, as a
+    (edges, partitions, profiles, masks) are formatted by joins.  Keys
+    must be strings and numbers plain ints: a float raises TypeError, as a
     Fraction or any other value ``json.dumps`` cannot encode does.
     """
     return _encode(obj, "\n") + "\n"
@@ -268,16 +268,12 @@ def _encode(obj: Any, nl: str) -> str:
             return "[" + inner + ("," + inner).join(map(str, obj)) + nl + "]"
         if (kind is list and all(type(x) is list and x for x in obj)
                 and all(type(y) is int for x in obj for y in x)):
-            # list.__repr__ writes "[[1, 2], [3]]": only the separators change
             deeper = inner + "  "
-            body = repr(obj)[2:-2].replace("], [", inner + "]," + inner + "[" + deeper)
-            body = body.replace(", ", "," + deeper)
-            return "[" + inner + "[" + deeper + body + inner + "]" + nl + "]"
+            sep = "," + deeper
+            close = inner + "]"
+            return "[" + inner + ("," + inner).join(
+                ["[" + deeper + sep.join(map(str, x)) + close for x in obj]) + nl + "]"
         return "[" + inner + ("," + inner).join([_encode(x, inner) for x in obj]) + nl + "]"
-    if isinstance(obj, str):
-        return _quote(obj)
-    if isinstance(obj, int):  # a subclass, printed as json.dumps prints it
-        return int.__repr__(obj)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
@@ -291,23 +287,6 @@ def curve_to_csv(runs) -> str:
         rest = f",{gamma.numerator},{gamma.denominator},{r},{case_tag}\n"
         parts.append(rest.join(map(str, range(lo, hi))) + rest)
     return "".join(parts)
-
-
-def curve_to_json(runs) -> str:
-    """``dumps`` of the curve's rows ``{"case", "gamma", "m", "r"}`` from ``design.curve_runs``.
-
-    Each row of a run differs only in m, so the text around m is formatted
-    once per run.
-    """
-    rows = []
-    for lo, hi, gamma, r, case_tag in runs:
-        head = (
-            f'  {{\n    "case": {_quote(case_tag)},\n'
-            f'    "gamma": {_encode(format_rational(gamma), "")},\n    "m": '
-        )
-        tail = f',\n    "r": {r}\n  }}'
-        rows.append(head + (tail + ",\n" + head).join(map(str, range(lo, hi))) + tail)
-    return "[\n" + ",\n".join(rows) + "\n]\n"
 
 
 def curve_from_csv(text: str):

@@ -1,12 +1,12 @@
 """Differential tests for the guarantee curve computed per run.
 
 ``design.curve_runs`` gives the curve as runs of equal guarantee, and the
-CLI formats each run's constant text once.  The references below are the
-per-row code it replaced: one ``CurvePoint`` per budget from a downward walk
-over the block count, the row-by-row CSV writer, and ``json.dumps`` of the
-row objects.  Points, CSV bytes and JSON bytes must all be equal.  At
-``curve --n 1000`` the references would take seconds, so those bytes are
-pinned by the golden hashes in ``test_cli``.
+CLI's CSV writer formats each run's constant text once.  The references
+below are the per-row code it replaced: one ``CurvePoint`` per budget from a
+downward walk over the block count, the row-by-row CSV writer, and
+``json.dumps`` of the row objects.  Points, CSV bytes and JSON bytes must
+all be equal.  At ``curve --n 1000`` the references would take seconds, so
+those bytes are pinned by the golden hashes in ``test_cli``.
 """
 
 import json
@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from infogreedy import GuardRefusal, InputError, curve_runs, edge_count, efficiency_curve
+from infogreedy import GuardRefusal, InputError, edge_count, efficiency_curve
 from infogreedy.cli import main
 from infogreedy.design import (
     CASE_CLIQUE_MINUS_EDGE,
@@ -23,6 +23,7 @@ from infogreedy.design import (
     CurvePoint,
     _check_agents,
     _design_guarantee,
+    curve_runs,
 )
 from infogreedy.serialize import format_rational
 
